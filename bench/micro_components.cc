@@ -182,78 +182,16 @@ void BM_ComposeStreamingPrecompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_ComposeStreamingPrecompiled)->Arg(100)->Arg(2000);
 
-// Morsel-driven parallel aggregation over a 200k-row table.
-// Args: {exec_threads, group cardinality} — 50 groups keeps the merge
-// trivial and isolates scan fan-out; 50k groups stresses the
-// partial-hash-table build and the morsel-order merge.
-//
-// Wall time only shows a speedup when the host has cores to spare; CI
-// boxes are often 1-core, so the counters also report the cost
-// model's critical-path view: `charged` = sequential ops +
-// ceil(parallel ops / threads), and `model_speedup` = total ops /
-// charged — the virtual-time speedup the simulator uses.
-void BM_MorselAggregate(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int groups = static_cast<int>(state.range(1));
-  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  if (!db.Execute("create table m (g int, v double)").ok()) {
-    state.SkipWithError("create failed");
-    return;
-  }
-  constexpr int kRows = 200000;
-  std::vector<Row> rows;
-  rows.reserve(kRows);
-  for (int i = 0; i < kRows; ++i) {
-    rows.push_back(
-        {Value::Int(i % groups), Value::Double((i % 97) * 0.5)});
-  }
-  auto table = db.catalog()->GetTable("m");
-  if (!table.ok() || !(*table)->BulkLoad(std::move(rows)).ok()) {
-    state.SkipWithError("load failed");
-    return;
-  }
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
-    state.SkipWithError("set exec_threads failed");
-    return;
-  }
-  const std::string sql =
-      "select g, count(*), sum(v), min(v), max(v) from m group by g";
-  engine::ExecStats stats;
-  for (auto _ : state) {
-    auto r = db.Execute(sql);
-    if (!r.ok()) {
-      state.SkipWithError("query failed");
-      return;
-    }
-    stats = r->stats;
-    benchmark::DoNotOptimize(r);
-  }
-  const uint64_t par = std::min(stats.cpu_ops_parallel, stats.cpu_ops);
-  const uint64_t width = static_cast<uint64_t>(threads);
-  const uint64_t charged =
-      (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["morsels"] = static_cast<double>(stats.morsels);
-  state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
-  state.counters["charged"] = static_cast<double>(charged);
-  state.counters["model_speedup"] =
-      static_cast<double>(stats.cpu_ops) / static_cast<double>(charged);
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-BENCHMARK(BM_MorselAggregate)
-    ->ArgsProduct({{1, 2, 4, 8}, {50, 50000}})
-    ->Unit(benchmark::kMillisecond);
-
 // Morsel-parallel partitioned hash join: a selective dimension build
 // side probed by a 200k-row fact side.
-// Args: {build rows, exec_threads, join_filter} — 1k build rows keep
-// ~99% of probes missing (the semi-join filter's best case); 100k
-// build rows make most probes hit, so the filter is pure overhead.
-// Counters mirror BM_MorselAggregate's cost-model view and add
-// `filter_skipped` so the pushdown's pruning is visible directly.
+// Args: {build rows, exec_threads} — 1k build rows keep ~99% of probes
+// missing (the semi-join filter's best case); 100k build rows make
+// most probes hit, so the filter is pure overhead. Counters mirror
+// BM_ColumnarAggregate's cost-model view and add `filter_skipped` so
+// the pushdown's pruning is visible directly.
 void BM_HashJoin(benchmark::State& state) {
   const int build_rows = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const bool filter = state.range(2) != 0;
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   if (!db.Execute("create table dim (k int, tag int)").ok() ||
       !db.Execute("create table fact (fk int, v double)").ok()) {
@@ -283,10 +221,7 @@ void BM_HashJoin(benchmark::State& state) {
     state.SkipWithError("load failed");
     return;
   }
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute(std::string("set join_filter = ") +
-                  (filter ? "on" : "off"))
-           .ok()) {
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
     state.SkipWithError("set failed");
     return;
   }
@@ -320,17 +255,21 @@ void BM_HashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFactRows);
 }
 BENCHMARK(BM_HashJoin)
-    ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}, {0, 1}})
+    ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
-// Columnar vectorized aggregation vs. the row-at-a-time morsel path.
-// Args: {exec_threads, group cardinality}. The table scales with the
+// Morsel-driven columnar aggregation over a table of at least 200k
+// rows. Args: {exec_threads, group cardinality} — 50 groups keeps the
+// merge trivial and isolates scan fan-out; the table scales with the
 // group count so 500k groups is a real high-cardinality merge, not a
-// capped one. The headline counter is `model_speedup` = row-path
-// 1-thread cpu_ops / columnar charged ops — how much cheaper the
-// vectorized kernels plus the adaptive merge make the query in the
-// simulator's virtual-time view. `merge_strategy` reports what the
-// adaptive chooser picked (1=central, 2=partitioned, 3=radix).
+// capped one.
+//
+// Wall time only shows a speedup when the host has cores to spare, so
+// the counters also report the cost model's critical-path view:
+// `charged` = sequential ops + ceil(parallel ops / threads), and
+// `model_speedup` = total ops / charged — the virtual-time speedup the
+// simulator uses. `merge_strategy` reports what the adaptive chooser
+// picked (1=central, 2=partitioned, 3=radix).
 void BM_ColumnarAggregate(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int groups = static_cast<int>(state.range(1));
@@ -354,21 +293,7 @@ void BM_ColumnarAggregate(benchmark::State& state) {
   const std::string sql =
       "select g, count(*), sum(v), avg(v), min(v), max(v) from c "
       "group by g";
-  // Row-path single-thread baseline: the denominator every columnar
-  // configuration is judged against.
-  if (!db.Execute("set exec_threads = 1").ok() ||
-      !db.Execute("set columnar_exec = off").ok()) {
-    state.SkipWithError("set failed");
-    return;
-  }
-  auto base = db.Execute(sql);
-  if (!base.ok()) {
-    state.SkipWithError("baseline failed");
-    return;
-  }
-  const uint64_t row_ops = base->stats.cpu_ops;
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute("set columnar_exec = on").ok()) {
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
     state.SkipWithError("set failed");
     return;
   }
@@ -386,11 +311,11 @@ void BM_ColumnarAggregate(benchmark::State& state) {
   const uint64_t width = static_cast<uint64_t>(threads);
   const uint64_t charged =
       (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["row_cpu_ops"] = static_cast<double>(row_ops);
+  state.counters["morsels"] = static_cast<double>(stats.morsels);
   state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
   state.counters["charged"] = static_cast<double>(charged);
   state.counters["model_speedup"] =
-      static_cast<double>(row_ops) / static_cast<double>(charged);
+      static_cast<double>(stats.cpu_ops) / static_cast<double>(charged);
   state.counters["vec_rows"] =
       static_cast<double>(stats.vectorized_rows);
   state.counters["merge_strategy"] =
@@ -401,12 +326,11 @@ BENCHMARK(BM_ColumnarAggregate)
     ->ArgsProduct({{1, 2, 4, 8}, {50, 5000, 50000, 500000}})
     ->Unit(benchmark::kMillisecond);
 
-// Dictionary-encoded string predicates vs row-wise string compares.
-// Args: {exec_threads, predicate kind} — 0 equality, 1 IN-list,
-// 2 BETWEEN (all three compile to dict-code kernels), 3 LIKE (stays
-// on the row-wise per-conjunct fallback, the honesty check). The
-// headline counter follows BM_ColumnarAggregate's convention:
-// `model_speedup` = row-path 1-thread cpu_ops / columnar charged ops.
+// Dictionary-encoded string predicates. Args: {exec_threads,
+// predicate kind} — 0 equality, 1 IN-list, 2 BETWEEN (all three
+// compile to dict-code kernels), 3 LIKE (stays on the row-wise
+// per-conjunct fallback, the honesty check). `charged` follows
+// BM_ColumnarAggregate's critical-path convention.
 void BM_DictPredicate(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int kind = static_cast<int>(state.range(1));
@@ -437,19 +361,7 @@ void BM_DictPredicate(benchmark::State& state) {
   const std::string sql = std::string("select count(*), sum(x) from "
                                       "strtab where ") +
                           kPreds[kind];
-  if (!db.Execute("set exec_threads = 1").ok() ||
-      !db.Execute("set columnar_exec = off").ok()) {
-    state.SkipWithError("set failed");
-    return;
-  }
-  auto base = db.Execute(sql);
-  if (!base.ok()) {
-    state.SkipWithError("baseline failed");
-    return;
-  }
-  const uint64_t row_ops = base->stats.cpu_ops;
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute("set columnar_exec = on").ok()) {
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
     state.SkipWithError("set failed");
     return;
   }
@@ -467,11 +379,8 @@ void BM_DictPredicate(benchmark::State& state) {
   const uint64_t width = static_cast<uint64_t>(threads);
   const uint64_t charged =
       (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["row_cpu_ops"] = static_cast<double>(row_ops);
   state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
   state.counters["charged"] = static_cast<double>(charged);
-  state.counters["model_speedup"] =
-      static_cast<double>(row_ops) / static_cast<double>(charged);
   state.counters["dict_hits"] = static_cast<double>(stats.dict_hits);
   state.SetItemsProcessed(state.iterations() * kRows);
 }
@@ -479,12 +388,11 @@ BENCHMARK(BM_DictPredicate)
     ->ArgsProduct({{1, 2, 4, 8}, {0, 1, 2, 3}})
     ->Unit(benchmark::kMillisecond);
 
-// Vectorized probe side of the morsel partitioned hash join vs the
-// row-at-a-time probe. Same fact/dim shape as BM_HashJoin (1k-row
-// build side, ~99% of probes pruned by the semi-join filter — the
-// slice filter kernel's best case). Args: {exec_threads}. Baseline
-// convention matches BM_ColumnarAggregate: `model_speedup` =
-// row-probe 1-thread cpu_ops / vectorized charged ops.
+// Vectorized probe side of the morsel partitioned hash join. Same
+// fact/dim shape as BM_HashJoin (1k-row build side, ~99% of probes
+// pruned by the semi-join filter — the slice filter kernel's best
+// case). Args: {exec_threads}. `charged` follows
+// BM_ColumnarAggregate's critical-path convention.
 void BM_VectorizedProbe(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -518,19 +426,7 @@ void BM_VectorizedProbe(benchmark::State& state) {
   const std::string sql =
       "select tag, count(*), sum(v) from fact, dim"
       " where fk = k group by tag";
-  if (!db.Execute("set exec_threads = 1").ok() ||
-      !db.Execute("set columnar_join = off").ok()) {
-    state.SkipWithError("set failed");
-    return;
-  }
-  auto base = db.Execute(sql);
-  if (!base.ok()) {
-    state.SkipWithError("baseline failed");
-    return;
-  }
-  const uint64_t row_ops = base->stats.cpu_ops;
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute("set columnar_join = on").ok()) {
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
     state.SkipWithError("set failed");
     return;
   }
@@ -548,11 +444,8 @@ void BM_VectorizedProbe(benchmark::State& state) {
   const uint64_t width = static_cast<uint64_t>(threads);
   const uint64_t charged =
       (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["row_cpu_ops"] = static_cast<double>(row_ops);
   state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
   state.counters["charged"] = static_cast<double>(charged);
-  state.counters["model_speedup"] =
-      static_cast<double>(row_ops) / static_cast<double>(charged);
   state.counters["probe_vec"] =
       static_cast<double>(stats.probe_vectorized_rows);
   state.counters["filter_skipped"] =

@@ -252,7 +252,7 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
   // Stage 1: hand the ladder's window to the scan-share gate so the
   // next batch coalesces more under overload.
   gate_->set_window_us(ticket.window_us);
-  Result<engine::QueryResult> result = Status::OK();
+  Result<engine::QueryResult> result = engine::QueryResult{};
   if (ticket.degraded()) {
     stats_.admission_degraded.fetch_add(1, std::memory_order_relaxed);
     obs::Tracer::Global().Instant("admission.degrade", "controller");

@@ -38,7 +38,7 @@ struct ExecStats {
   /// Intra-node threads the morsel region ran with (1 = inline).
   uint32_t exec_threads = 1;
   /// Rows inserted into join build-side hash tables (morsel join
-  /// pipeline; 0 when joins ran the legacy sequential chain).
+  /// pipeline; 0 when joins ran the sequential chain).
   uint64_t join_build_rows = 0;
   /// Hash-table probes issued by the morsel join pipeline (join keys
   /// evaluated, non-null, and past the semi-join filter).
@@ -106,7 +106,7 @@ struct ExecStats {
   }
 
   /// Adaptive-merge strategy as a compact code for EXPLAIN ANALYZE:
-  /// 0 = none (row path / no columnar merge ran), 1 = central,
+  /// 0 = none (no morsel aggregate merge ran), 1 = central,
   /// 2 = partitioned, 3 = radix. When multiple statements are summed
   /// the highest-fanout strategy wins the label.
   int MergeStrategyCode() const {

@@ -1632,7 +1632,7 @@ constexpr size_t kRadixBuckets = 64;
 // that are ~3/4 distinct — the signature of high global cardinality.
 // Clustered tables can under-report (each morsel sees few of many
 // global groups) and land on central: results are unaffected, only
-// scheduling, and `SET merge_strategy` overrides the guess.
+// scheduling.
 constexpr size_t kCentralMaxGroups = 128;
 constexpr size_t kRadixMinGroups = 768;
 
@@ -1677,6 +1677,7 @@ struct ColKeySpec {
 };
 
 struct ColumnarPlan {
+  // Null for index-order scans: nothing compiles, every step is row-wise.
   const storage::ColumnarTable* chunk = nullptr;
   // WHERE conjuncts in SplitConjuncts order; exactly one of vec/row
   // is set per step. Order is preserved so each conjunct evaluates
@@ -1689,26 +1690,18 @@ struct ColumnarPlan {
   std::vector<PredStep> preds;
   std::vector<ColKeySpec> keys;
   std::vector<ColAggSpec> aggs;
-  // True when at least one predicate or aggregate argument (or a
-  // count(*)) vectorized; otherwise the columnar path would be the
-  // row path with extra steps and the caller stays row-wise.
-  bool any_vec = false;
 };
 
 ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
-                             const storage::ColumnarTable& chunk,
+                             const storage::ColumnarTable* chunk,
                              const std::vector<const Expr*>& preds,
                              const std::vector<const Expr*>& agg_nodes) {
   ColumnarPlan cp;
-  cp.chunk = &chunk;
+  cp.chunk = chunk;
   for (const Expr* p : preds) {
     ColumnarPlan::PredStep step;
-    step.vec = CompileVecPredicate(*p, header, chunk);
-    if (step.vec != nullptr) {
-      cp.any_vec = true;
-    } else {
-      step.row = p;
-    }
+    if (chunk != nullptr) step.vec = CompileVecPredicate(*p, header, *chunk);
+    if (step.vec == nullptr) step.row = p;
     cp.preds.push_back(std::move(step));
   }
   for (const auto& g : stmt.group_by) {
@@ -1726,11 +1719,9 @@ ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
     spec.func = AggFuncOf(*a);
     spec.star = a->star_arg;
     spec.distinct = a->distinct;
-    if (spec.star) {
-      cp.any_vec = true;  // count(*) folds as a bulk add
-    } else if (!a->children.empty()) {
-      spec.arg = CompileVecExpr(*a->children[0], header, chunk);
-      if (spec.arg != nullptr) cp.any_vec = true;
+    // count(*) needs no argument kernel: it folds as a bulk add.
+    if (!spec.star && !a->children.empty() && chunk != nullptr) {
+      spec.arg = CompileVecExpr(*a->children[0], header, *chunk);
     }
     cp.aggs.push_back(std::move(spec));
   }
@@ -1933,16 +1924,20 @@ void FoldVecGlobal(const ColAggSpec& spec, const VecData& vd, size_t n,
   }
 }
 
+// How a columnar aggregate merges its per-morsel partial groups.
+// The values are ExecStats::MergeStrategyCode()'s.
+enum class MergeStrategy {
+  kCentral = 1,      // single-threaded fold (few groups)
+  kPartitioned = 2,  // 16-way hash-partitioned fold (medium)
+  kRadix = 3,        // 64-way radix fold + parallel finalize (many)
+};
+
 // Picks the merge fanout from the first wave of morsels (the first
 // `threads` in morsel order — the set that completes earliest under
 // any scheduling). Uses the MAX partial-group count: the most
 // discriminating single-morsel signal a 1024-row window can give.
-MergeStrategy ChooseMergeStrategy(const SessionSettings& settings,
-                                  const std::vector<ColumnarPartial>& partials,
+MergeStrategy ChooseMergeStrategy(const std::vector<ColumnarPartial>& partials,
                                   size_t threads) {
-  if (settings.merge_strategy != MergeStrategy::kAuto) {
-    return settings.merge_strategy;
-  }
   const size_t wave = std::min(threads < 1 ? size_t{1} : threads,
                                partials.size());
   size_t est = 0;
@@ -2012,7 +2007,7 @@ Status MergeColumnarPartials(ThreadPool* pool, MergeStrategy strat,
           }));
       break;
     }
-    default: {  // kRadix (kAuto resolved before this point)
+    default: {  // kRadix
       APUAMA_RETURN_NOT_OK(
           ParallelFor(pool, 0, kRadixBuckets, [&](size_t b) -> Status {
             merge_bucket(b);
@@ -2288,7 +2283,7 @@ Result<QueryResult> Executor::AggregateAndProject(const SelectStmt& stmt,
 bool Executor::MorselEligible(const SelectStmt& stmt,
                               const EvalScope* outer) const {
   if (outer != nullptr) return false;  // correlated context
-  if (!db_->settings()->enable_morsel_exec) return false;
+  if (reference_) return false;
   if (stmt.from.size() != 1) return false;  // joins stay sequential
   for (const auto& item : stmt.items) {
     if (item.star) return false;
@@ -2324,121 +2319,25 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
     header.columns.push_back(ColumnBinding{fb.binding, col.name});
   }
 
-  // Column-major fast path: when enabled and anything in the query
-  // vectorizes, process the morsels as column slices. Falls through
-  // to the row pipeline (byte-for-byte the pre-columnar behavior)
-  // when disabled, when nothing vectorizes, or for index-order scans
-  // (their position lists defeat contiguous column slices).
-  if (db_->settings()->enable_columnar_exec &&
-      plan.path != AccessPath::kSecondaryIndex) {
-    APUAMA_ASSIGN_OR_RETURN(
-        std::optional<QueryResult> cqr,
-        ExecuteColumnarAggregate(stmt, t, plan, preds, agg_nodes, header));
-    if (cqr.has_value()) return std::move(*cqr);
+  // Kernels compile against the table's column chunk, (re)built here
+  // on the coordinator — the cache is not thread-safe and must not be
+  // touched after morsels fan out. Index-order scans build no chunk
+  // (their sparse position lists would pay a full-table build for a
+  // few rows), so every step below takes its row-wise fallback.
+  const storage::ColumnarTable* chunk = nullptr;
+  if (plan.path != AccessPath::kSecondaryIndex) {
+    storage::ColumnStore::GetResult cg = db_->column_store()->Get(t);
+    chunk = cg.chunk;
+    if (cg.built) ++stats_->columnar_chunks_built;
+    if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
   }
+  ColumnarPlan cp = CompileColumnar(stmt, header, chunk, preds, agg_nodes);
 
   // Coordinator-only spans: per-morsel worker spans would make trace
   // shape depend on thread timing, so only the pipeline phases are
   // traced (identical at any exec_threads).
   obs::Span agg_span =
       obs::Tracer::Global().StartSpan("morsel.aggregate", "morsel");
-
-  ScanMorsels sm = TouchAndMorselize(t, plan);
-  const std::vector<storage::Table::Morsel>& morsels = sm.morsels;
-  if (agg_span.active()) {
-    agg_span.AddAttr("morsels", static_cast<int64_t>(morsels.size()));
-  }
-
-  std::vector<MorselPartial> partials(morsels.size());
-
-  auto run_morsel = [&](size_t mi) -> Status {
-    MorselPartial& part = partials[mi];
-    ColumnResolver resolver(&header);
-    EvalScope scope{&resolver, nullptr, nullptr};
-    EvalContext ctx;
-    ctx.scope = &scope;
-    ctx.executor = nullptr;  // eligibility guaranteed no subqueries
-    ctx.cpu_ops = &part.cpu;
-    for (size_t j = morsels[mi].begin; j < morsels[mi].end; ++j) {
-      const size_t pos = sm.by_position_list ? plan.index_positions[j] : j;
-      const Row& r = t.row(pos);
-      ++part.scanned;
-      scope.row = &r;
-      bool keep = true;
-      for (const Expr* p : preds) {
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
-        if (Truthiness(v) != 1) {
-          keep = false;
-          break;
-        }
-      }
-      if (!keep) continue;
-      APUAMA_RETURN_NOT_OK(AccumulateRow(stmt, agg_nodes, ctx, r, &part));
-    }
-    return Status::OK();
-  };
-
-  int want = db_->settings()->exec_threads;
-  if (want < 1) want = 1;
-  const size_t threads =
-      morsels.empty()
-          ? 1
-          : std::min<size_t>(static_cast<size_t>(want), morsels.size());
-  ThreadPool* pool = threads > 1 ? db_->exec_pool() : nullptr;
-  {
-    obs::Span scan_span =
-        obs::Tracer::Global().StartSpan("morsel.scan", "morsel");
-    APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, morsels.size(), run_morsel));
-  }
-
-  stats_->morsels += morsels.size();
-  if (static_cast<uint32_t>(threads) > stats_->exec_threads) {
-    stats_->exec_threads = static_cast<uint32_t>(threads);
-  }
-
-  for (const MorselPartial& part : partials) {
-    stats_->tuples_scanned += part.scanned;
-    stats_->cpu_ops += part.cpu;
-    stats_->cpu_ops_parallel += part.cpu;
-  }
-
-  obs::Span merge_span =
-      obs::Tracer::Global().StartSpan("morsel.merge", "morsel");
-  APUAMA_ASSIGN_OR_RETURN(
-      GroupMap groups,
-      MergeMorselPartials(pool, &partials, agg_nodes, stats_));
-  merge_span.End();
-
-  // Global aggregate over empty input still yields one group.
-  if (groups.empty() && stmt.group_by.empty()) {
-    AggGroup g;
-    g.repr = Row(header.columns.size(), Value::Null());
-    g.accs.resize(agg_nodes.size());
-    groups.emplace(Row{}, std::move(g));
-  }
-
-  return FinalizeGroups(this, stats_, stmt, header, &groups, agg_nodes,
-                        nullptr);
-}
-
-Result<std::optional<QueryResult>> Executor::ExecuteColumnarAggregate(
-    const SelectStmt& stmt, const storage::Table& t, const ScanPlan& plan,
-    const std::vector<const Expr*>& preds,
-    const std::vector<const Expr*>& agg_nodes, const Relation& header) {
-  // Chunk lookup + compilation are side-effect free until the plan
-  // commits, so a fallback leaves no stats residue. The chunk itself
-  // is (re)built here on the coordinator — the cache is not
-  // thread-safe and must not be touched after morsels fan out.
-  storage::ColumnStore::GetResult chunk = db_->column_store()->Get(t);
-  ColumnarPlan cp =
-      CompileColumnar(stmt, header, *chunk.chunk, preds, agg_nodes);
-  if (!cp.any_vec) return std::optional<QueryResult>();
-
-  if (chunk.built) ++stats_->columnar_chunks_built;
-  if (chunk.rebuilt) ++stats_->columnar_chunk_rebuilds;
-
-  obs::Span agg_span =
-      obs::Tracer::Global().StartSpan("morsel.aggregate.columnar", "morsel");
 
   ScanMorsels sm = TouchAndMorselize(t, plan);
   const std::vector<storage::Table::Morsel>& morsels = sm.morsels;
@@ -2453,11 +2352,13 @@ Result<std::optional<QueryResult>> Executor::ExecuteColumnarAggregate(
     ColumnarPartial& part = partials[mi];
     // Selection vector: heap positions surviving the predicates so
     // far. Seq and clustered-range morsels are contiguous position
-    // ranges, so the initial selection is dense.
+    // ranges (a dense selection); index morsels slice the sorted
+    // position list.
     std::vector<uint32_t> sel;
     sel.reserve(morsels[mi].end - morsels[mi].begin);
-    for (size_t pos = morsels[mi].begin; pos < morsels[mi].end; ++pos) {
-      sel.push_back(static_cast<uint32_t>(pos));
+    for (size_t j = morsels[mi].begin; j < morsels[mi].end; ++j) {
+      sel.push_back(static_cast<uint32_t>(
+          sm.by_position_list ? plan.index_positions[j] : j));
     }
     part.scanned += sel.size();
 
@@ -2583,7 +2484,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteColumnarAggregate(
   ThreadPool* pool = threads > 1 ? db_->exec_pool() : nullptr;
   {
     obs::Span scan_span =
-        obs::Tracer::Global().StartSpan("morsel.scan.columnar", "morsel");
+        obs::Tracer::Global().StartSpan("morsel.scan", "morsel");
     APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, morsels.size(), run_morsel));
   }
 
@@ -2628,14 +2529,11 @@ Result<std::optional<QueryResult>> Executor::ExecuteColumnarAggregate(
     }
     ++stats_->cpu_ops;
     groups.emplace(Row{}, std::move(g));
-    APUAMA_ASSIGN_OR_RETURN(
-        QueryResult fq, FinalizeGroups(this, stats_, stmt, header, &groups,
-                                       agg_nodes, nullptr));
-    return std::optional<QueryResult>(std::move(fq));
+    return FinalizeGroups(this, stats_, stmt, header, &groups, agg_nodes,
+                          nullptr);
   }
 
-  const MergeStrategy strat =
-      ChooseMergeStrategy(*db_->settings(), partials, threads);
+  const MergeStrategy strat = ChooseMergeStrategy(partials, threads);
   switch (strat) {
     case MergeStrategy::kCentral:
       ++stats_->merge_central;
@@ -2649,7 +2547,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteColumnarAggregate(
   }
 
   obs::Span merge_span =
-      obs::Tracer::Global().StartSpan("morsel.merge.columnar", "morsel");
+      obs::Tracer::Global().StartSpan("morsel.merge", "morsel");
   if (merge_span.active()) {
     merge_span.AddAttr("strategy", static_cast<int64_t>(strat));
   }
@@ -2674,10 +2572,8 @@ Result<std::optional<QueryResult>> Executor::ExecuteColumnarAggregate(
         groups.emplace(key, std::move(g));
       }
     }
-    APUAMA_ASSIGN_OR_RETURN(
-        QueryResult fq, FinalizeGroups(this, stats_, stmt, header, &groups,
-                                       agg_nodes, nullptr));
-    return std::optional<QueryResult>(std::move(fq));
+    return FinalizeGroups(this, stats_, stmt, header, &groups, agg_nodes,
+                          nullptr);
   }
 
   // Fast tail: per-bucket projection + sort runs under the same
@@ -2728,7 +2624,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteColumnarAggregate(
   }
   if (stmt.distinct) DedupePreservingOrder(&qr.rows);
   ApplyOffsetLimit(stmt, &qr.rows);
-  return std::optional<QueryResult>(std::move(qr));
+  return qr;
 }
 
 Executor::ScanMorsels Executor::TouchAndMorselize(const storage::Table& t,
@@ -3008,8 +2904,7 @@ Executor::ExecuteSharedAggregates(
 bool Executor::MorselJoinEligible(const SelectStmt& stmt,
                                   const EvalScope* outer) const {
   if (outer != nullptr) return false;  // correlated context
-  if (!db_->settings()->enable_morsel_exec) return false;
-  if (!db_->settings()->enable_join_parallel) return false;
+  if (reference_) return false;
   if (stmt.from.size() < 2) return false;  // single table: MorselEligible
   for (const auto& item : stmt.items) {
     if (item.star) return false;
@@ -3244,7 +3139,6 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       stats_->exec_threads = static_cast<uint32_t>(th);
     }
   };
-  const bool use_filter = db_->settings()->enable_join_filter;
 
   // ---- Parallel partitioned builds, one stage at a time. Each build
   // side is scanned in morsels (filtering + key evaluation fan out),
@@ -3376,19 +3270,14 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   stats_->morsels += dsm.morsels.size();
   note_threads(dsm.morsels.size());
 
-  // ---- Columnar driver compile (vectorized probe). The chunk lookup
-  // and all compilation happen here on the coordinator — the column
-  // store is not thread-safe — before morsels fan out. Per-conjunct:
-  // a scan predicate that does not compile keeps its row-wise form
-  // over the selection vector; if neither a predicate nor the
-  // stage-0 key set vectorizes, the driver loop below stays on the
-  // legacy row path byte for byte (as it does whenever `SET
-  // columnar_join` or `SET columnar_exec` is off, or the driver scan
-  // is an index-order position list).
-  struct DriverPredStep {
-    std::unique_ptr<VecPredicate> vec;
-    const Expr* row = nullptr;
-  };
+  // ---- Driver compile. The chunk lookup and all compilation happen
+  // here on the coordinator — the column store is not thread-safe —
+  // before morsels fan out. A scan predicate that does not compile
+  // keeps its row-wise form over the selection vector, and stage-0
+  // keys that do not all compile are evaluated row-wise per survivor.
+  // An index-order driver scan builds no chunk, so all of it runs
+  // row-wise.
+
   // One stage-0 probe-key lane: a compiled numeric kernel, or a
   // dictionary-coded string column hashed through per-code string
   // hashes (precomputed once per dictionary entry).
@@ -3397,61 +3286,42 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     const storage::ColumnVector* dict_col = nullptr;
     std::vector<size_t> code_hash;
   };
-  std::vector<DriverPredStep> dsteps;
-  std::vector<KeyLane> key_lanes;
-  bool keys_vec = false;
-  bool driver_columnar = false;
   const storage::ColumnarTable* dchunk = nullptr;
-  if (db_->settings()->enable_columnar_exec &&
-      db_->settings()->enable_columnar_join && !dsm.by_position_list) {
+  if (!dsm.by_position_list) {
     storage::ColumnStore::GetResult cg = db_->column_store()->Get(dt);
     dchunk = cg.chunk;
-    bool any_vec = false;
-    for (const Expr* p : dpreds) {
-      DriverPredStep step;
+    if (cg.built) ++stats_->columnar_chunks_built;
+    if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
+  }
+  std::vector<ColumnarPlan::PredStep> dsteps;
+  for (const Expr* p : dpreds) {
+    ColumnarPlan::PredStep step;
+    if (dchunk != nullptr) {
       step.vec = CompileVecPredicate(*p, layouts[0], *dchunk);
-      if (step.vec != nullptr) {
-        any_vec = true;
-      } else {
-        step.row = p;
-      }
-      dsteps.push_back(std::move(step));
     }
-    if (!stages.empty()) {
-      keys_vec = true;
-      for (const Expr* e : stages[0].probe_keys) {
-        KeyLane lane;
-        lane.vec = CompileVecExpr(*e, layouts[0], *dchunk);
-        if (lane.vec == nullptr && e->kind == ExprKind::kColumnRef) {
-          const int slot =
-              layouts[0].FindSlot(e->table_qualifier, e->column_name);
-          if (slot >= 0 &&
-              static_cast<size_t>(slot) < dchunk->cols.size() &&
-              dchunk->cols[static_cast<size_t>(slot)].dict_encoded) {
-            lane.dict_col = &dchunk->cols[static_cast<size_t>(slot)];
-            lane.code_hash.reserve(lane.dict_col->dict.size());
-            for (const std::string& s : lane.dict_col->dict) {
-              // Value::Hash of the kString the row path would box.
-              lane.code_hash.push_back(std::hash<std::string>()(s));
-            }
-          }
+    if (step.vec == nullptr) step.row = p;
+    dsteps.push_back(std::move(step));
+  }
+  std::vector<KeyLane> key_lanes;
+  bool keys_vec = dchunk != nullptr && !stages.empty();
+  for (size_t i = 0; keys_vec && i < stages[0].probe_keys.size(); ++i) {
+    const Expr* e = stages[0].probe_keys[i];
+    KeyLane lane;
+    lane.vec = CompileVecExpr(*e, layouts[0], *dchunk);
+    if (lane.vec == nullptr && e->kind == ExprKind::kColumnRef) {
+      const int slot = layouts[0].FindSlot(e->table_qualifier, e->column_name);
+      if (slot >= 0 && static_cast<size_t>(slot) < dchunk->cols.size() &&
+          dchunk->cols[static_cast<size_t>(slot)].dict_encoded) {
+        lane.dict_col = &dchunk->cols[static_cast<size_t>(slot)];
+        lane.code_hash.reserve(lane.dict_col->dict.size());
+        for (const std::string& s : lane.dict_col->dict) {
+          // Value::Hash of the kString the row path would box.
+          lane.code_hash.push_back(std::hash<std::string>()(s));
         }
-        if (lane.vec == nullptr && lane.dict_col == nullptr) {
-          keys_vec = false;
-          break;
-        }
-        key_lanes.push_back(std::move(lane));
       }
-      if (!keys_vec) key_lanes.clear();
-      if (keys_vec) any_vec = true;
     }
-    driver_columnar = any_vec;
-    if (driver_columnar) {
-      if (cg.built) ++stats_->columnar_chunks_built;
-      if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
-    } else {
-      dsteps.clear();
-    }
+    keys_vec = lane.vec != nullptr || lane.dict_col != nullptr;
+    key_lanes.push_back(std::move(lane));
   }
 
   std::vector<MorselPartial> partials(dsm.morsels.size());
@@ -3473,13 +3343,14 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       ctxs[k].cpu_ops = &part.cpu;
     }
 
-    // The chain is split in two so the vectorized driver can enter it
-    // past the per-row key/hash/filter work it already did in slices:
+    // The chain is split in two so the driver can enter it past the
+    // per-row key/hash/filter work it already did in slices:
     // `descend(k)` evaluates stage k's probe key row-wise, hashes it
     // and consults the partition filter; `probe_chain(k, key, h)`
-    // walks the hash chain, applies residuals and recurses. The row
-    // driver always goes through descend; both meet at probe_chain,
-    // so match processing is one code path.
+    // walks the hash chain, applies residuals and recurses. Later
+    // stages, and stage 0 when its keys do not compile, go through
+    // descend; both meet at probe_chain, so match processing is one
+    // code path.
     std::function<Status(size_t)> descend;
     auto probe_chain = [&](size_t k, const Row& key, size_t h) -> Status {
       const BuildStage& st = stages[k];
@@ -3522,7 +3393,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       if (null_key) return Status::OK();  // inner join semantics
       const size_t h = RowHash{}(key);
       const size_t p = h % kMergePartitions;
-      if (use_filter && !bs.filters[p].MayContain(h)) {
+      if (!bs.filters[p].MayContain(h)) {
         ++part.filter_skipped;
         return Status::OK();
       }
@@ -3530,151 +3401,132 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       return probe_chain(k, key, h);
     };
 
-    if (driver_columnar) {
-      // Vectorized driver: dense selection over the morsel, then
-      // per-conjunct filtering (compiled kernels shrink the selection
-      // in slices; uncompiled conjuncts run row-wise over whatever
-      // survives), then the stage-0 keys load column-major, hash in
-      // slices and pass the partition filter as a kernel. Only the
-      // survivors materialize the scratch row and probe the chain.
-      const size_t begin = dsm.morsels[mi].begin;
-      const size_t end = dsm.morsels[mi].end;
-      std::vector<uint32_t> sel;
-      sel.reserve(end - begin);
-      for (size_t j = begin; j < end; ++j) {
-        sel.push_back(static_cast<uint32_t>(j));
+    // Driver: selection over the morsel (dense, or the morsel's slice
+    // of the index position list), then per-conjunct filtering
+    // (compiled kernels shrink the selection in slices; uncompiled
+    // conjuncts run row-wise over whatever survives), then the stage-0
+    // keys load column-major, hash in slices and pass the partition
+    // filter as a kernel. Only the survivors materialize the scratch
+    // row and probe the chain.
+    const size_t begin = dsm.morsels[mi].begin;
+    const size_t end = dsm.morsels[mi].end;
+    std::vector<uint32_t> sel;
+    sel.reserve(end - begin);
+    for (size_t j = begin; j < end; ++j) {
+      sel.push_back(static_cast<uint32_t>(
+          dsm.by_position_list ? dplan.index_positions[j] : j));
+    }
+    part.scanned += sel.size();
+    for (const ColumnarPlan::PredStep& step : dsteps) {
+      if (sel.empty()) break;
+      if (step.vec != nullptr) {
+        APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *dchunk, &sel, &part.cpu,
+                                       &part.vec_rows, &part.dict_hits));
+        continue;
       }
-      part.scanned += sel.size();
-      for (const DriverPredStep& step : dsteps) {
-        if (sel.empty()) break;
-        if (step.vec != nullptr) {
-          APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *dchunk, &sel,
-                                         &part.cpu, &part.vec_rows,
-                                         &part.dict_hits));
-          continue;
-        }
-        // Row-wise fallback for this conjunct only: evaluate against
-        // the heap row in place (layout 0 is the driver's schema).
-        std::vector<uint32_t> out;
-        out.reserve(sel.size());
-        for (const uint32_t pos : sel) {
-          scopes[0].row = &dt.row(pos);
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctxs[0]));
-          if (Truthiness(v) == 1) out.push_back(pos);
-        }
-        sel.swap(out);
+      // Row-wise fallback for this conjunct only: evaluate against
+      // the heap row in place (layout 0 is the driver's schema).
+      std::vector<uint32_t> out;
+      out.reserve(sel.size());
+      for (const uint32_t pos : sel) {
+        scopes[0].row = &dt.row(pos);
+        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctxs[0]));
+        if (Truthiness(v) == 1) out.push_back(pos);
       }
-      scopes[0].row = &scratch;  // probe chain reads the scratch row
-      if (sel.empty()) return Status::OK();
-      if (!keys_vec) {
-        for (const uint32_t pos : sel) {
-          const Row& r = dt.row(pos);
-          scratch.assign(r.begin(), r.end());
-          APUAMA_RETURN_NOT_OK(descend(0));
-        }
-        return Status::OK();
-      }
-      const size_t n = sel.size();
-      std::vector<VecData> lanes(key_lanes.size());
-      for (size_t i = 0; i < key_lanes.size(); ++i) {
-        if (key_lanes[i].vec != nullptr) {
-          APUAMA_RETURN_NOT_OK(EvalVec(*key_lanes[i].vec, *dchunk, sel,
-                                       &lanes[i], &part.cpu,
-                                       &part.vec_rows));
-        }
-      }
-      // Hash pass: seed, then one combine per key lane — the exact
-      // fold RowHash applies to the boxed key row (Value::Hash of an
-      // int/date lane is std::hash<int64_t>, a double lane hashes its
-      // integral twin when it has one, a dictionary code looks up the
-      // precomputed string hash), so partition choice and filter
-      // membership are bit-identical to the row path. A NULL in any
-      // key lane can never match an inner join: mark and skip.
-      std::vector<size_t> hashes(n, size_t{0x9e3779b9});
-      std::vector<uint8_t> null_key(n, 0);
-      for (size_t i = 0; i < key_lanes.size(); ++i) {
-        part.cpu += VecOps(n);
-        const KeyLane& kl = key_lanes[i];
-        if (kl.dict_col != nullptr) {
-          part.dict_hits += n;
-          for (size_t k = 0; k < n; ++k) {
-            const uint32_t pos = sel[k];
-            if (kl.dict_col->IsNull(pos)) {
-              null_key[k] = 1;
-              continue;
-            }
-            hashes[k] =
-                hashes[k] * 1315423911u +
-                kl.code_hash[static_cast<size_t>(kl.dict_col->codes[pos])];
-          }
-        } else {
-          const VecData& vd = lanes[i];
-          for (size_t k = 0; k < n; ++k) {
-            if (vd.IsNull(k)) {
-              null_key[k] = 1;
-              continue;
-            }
-            size_t vh;
-            if (vd.type == ValueType::kDouble) {
-              const double d = vd.f64[k];
-              vh = d == static_cast<double>(static_cast<int64_t>(d))
-                       ? std::hash<int64_t>()(static_cast<int64_t>(d))
-                       : std::hash<double>()(d);
-            } else {
-              vh = std::hash<int64_t>()(vd.i64[k]);
-            }
-            hashes[k] = hashes[k] * 1315423911u + vh;
-          }
-        }
-      }
-      // Filter slice kernel: partition + semi-join filter membership
-      // decide which rows materialize at all.
-      part.cpu += VecOps(n);
-      part.probe_vec += n;
-      const BuiltStage& bs0 = built[0];
-      for (size_t k = 0; k < n; ++k) {
-        if (null_key[k]) continue;  // inner join semantics
-        const size_t h = hashes[k];
-        if (use_filter && !bs0.filters[h % kMergePartitions].MayContain(h)) {
-          ++part.filter_skipped;
-          continue;
-        }
-        ++part.probed;
-        const uint32_t pos = sel[k];
+      sel.swap(out);
+    }
+    scopes[0].row = &scratch;  // probe chain reads the scratch row
+    if (sel.empty()) return Status::OK();
+    if (!keys_vec) {
+      for (const uint32_t pos : sel) {
         const Row& r = dt.row(pos);
         scratch.assign(r.begin(), r.end());
-        // Box the key back into the row path's value model only for
-        // rows that actually reach a hash chain.
-        Row key;
-        key.reserve(key_lanes.size());
-        for (size_t i = 0; i < key_lanes.size(); ++i) {
-          const KeyLane& kl = key_lanes[i];
-          key.push_back(
-              kl.dict_col != nullptr
-                  ? Value::Str(kl.dict_col->dict[static_cast<size_t>(
-                        kl.dict_col->codes[pos])])
-                  : lanes[i].ValueAt(k));
-        }
-        APUAMA_RETURN_NOT_OK(probe_chain(0, key, h));
+        APUAMA_RETURN_NOT_OK(descend(0));
       }
       return Status::OK();
     }
-
-    for (size_t j = dsm.morsels[mi].begin; j < dsm.morsels[mi].end; ++j) {
-      const size_t pos = dsm.by_position_list ? dplan.index_positions[j] : j;
-      const Row& r = dt.row(pos);
-      ++part.scanned;
-      scratch.assign(r.begin(), r.end());
-      bool keep = true;
-      for (const Expr* pr : dpreds) {
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*pr, ctxs[0]));
-        if (Truthiness(v) != 1) {
-          keep = false;
-          break;
+    const size_t n = sel.size();
+    std::vector<VecData> lanes(key_lanes.size());
+    for (size_t i = 0; i < key_lanes.size(); ++i) {
+      if (key_lanes[i].vec != nullptr) {
+        APUAMA_RETURN_NOT_OK(EvalVec(*key_lanes[i].vec, *dchunk, sel,
+                                     &lanes[i], &part.cpu,
+                                     &part.vec_rows));
+      }
+    }
+    // Hash pass: seed, then one combine per key lane — the exact
+    // fold RowHash applies to the boxed key row (Value::Hash of an
+    // int/date lane is std::hash<int64_t>, a double lane hashes its
+    // integral twin when it has one, a dictionary code looks up the
+    // precomputed string hash), so partition choice and filter
+    // membership are bit-identical to the row path. A NULL in any
+    // key lane can never match an inner join: mark and skip.
+    std::vector<size_t> hashes(n, size_t{0x9e3779b9});
+    std::vector<uint8_t> null_key(n, 0);
+    for (size_t i = 0; i < key_lanes.size(); ++i) {
+      part.cpu += VecOps(n);
+      const KeyLane& kl = key_lanes[i];
+      if (kl.dict_col != nullptr) {
+        part.dict_hits += n;
+        for (size_t k = 0; k < n; ++k) {
+          const uint32_t pos = sel[k];
+          if (kl.dict_col->IsNull(pos)) {
+            null_key[k] = 1;
+            continue;
+          }
+          hashes[k] =
+              hashes[k] * 1315423911u +
+              kl.code_hash[static_cast<size_t>(kl.dict_col->codes[pos])];
+        }
+      } else {
+        const VecData& vd = lanes[i];
+        for (size_t k = 0; k < n; ++k) {
+          if (vd.IsNull(k)) {
+            null_key[k] = 1;
+            continue;
+          }
+          size_t vh;
+          if (vd.type == ValueType::kDouble) {
+            const double d = vd.f64[k];
+            vh = d == static_cast<double>(static_cast<int64_t>(d))
+                     ? std::hash<int64_t>()(static_cast<int64_t>(d))
+                     : std::hash<double>()(d);
+          } else {
+            vh = std::hash<int64_t>()(vd.i64[k]);
+          }
+          hashes[k] = hashes[k] * 1315423911u + vh;
         }
       }
-      if (!keep) continue;
-      APUAMA_RETURN_NOT_OK(descend(0));
+    }
+    // Filter slice kernel: partition + semi-join filter membership
+    // decide which rows materialize at all.
+    part.cpu += VecOps(n);
+    part.probe_vec += n;
+    const BuiltStage& bs0 = built[0];
+    for (size_t k = 0; k < n; ++k) {
+      if (null_key[k]) continue;  // inner join semantics
+      const size_t h = hashes[k];
+      if (!bs0.filters[h % kMergePartitions].MayContain(h)) {
+        ++part.filter_skipped;
+        continue;
+      }
+      ++part.probed;
+      const uint32_t pos = sel[k];
+      const Row& r = dt.row(pos);
+      scratch.assign(r.begin(), r.end());
+      // Box the key back into the row path's value model only for
+      // rows that actually reach a hash chain.
+      Row key;
+      key.reserve(key_lanes.size());
+      for (size_t i = 0; i < key_lanes.size(); ++i) {
+        const KeyLane& kl = key_lanes[i];
+        key.push_back(
+            kl.dict_col != nullptr
+                ? Value::Str(kl.dict_col->dict[static_cast<size_t>(
+                      kl.dict_col->codes[pos])])
+                : lanes[i].ValueAt(k));
+      }
+      APUAMA_RETURN_NOT_OK(probe_chain(0, key, h));
     }
     return Status::OK();
   };

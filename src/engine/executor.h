@@ -37,10 +37,15 @@ const char* AccessPathName(AccessPath p);
 /// (the vector still grows on demand past the hint).
 size_t JoinReserveHint(size_t left, size_t right);
 
-/// One executor per statement. Accumulates stats into `stats`.
+/// One executor per statement. Accumulates stats into `stats`. A
+/// `reference` executor never takes the morsel pipelines: every
+/// SELECT runs on the sequential iterator (ExecuteFromWhere ->
+/// AggregateAndProject / ProjectOnly), the oracle differential tests
+/// compare the pipelines against (Database::ExecuteReference).
 class Executor {
  public:
-  Executor(Database* db, ExecStats* stats) : db_(db), stats_(stats) {}
+  Executor(Database* db, ExecStats* stats, bool reference = false)
+      : db_(db), stats_(stats), reference_(reference) {}
 
   struct FromBinding;
 
@@ -119,31 +124,23 @@ class Executor {
                       const EvalScope* outer) const;
 
   /// Morsel-driven scan + filter + partitioned pre-aggregation for
-  /// eligible single-table aggregates. The morsel decomposition and
-  /// the merge order depend only on table contents — never on the
-  /// thread count — so results are bit-identical at any width.
+  /// eligible single-table aggregates, column-major: morsels filter a
+  /// selection vector (dense for seq / clustered-range scans, the
+  /// morsel's slice of the position list for secondary-index scans)
+  /// through vectorized kernels, fold aggregates from argument
+  /// vectors, and merge partial groups with a fanout picked from the
+  /// cardinality the first wave of morsels observed (central /
+  /// partitioned / radix). A predicate, key or argument that does not
+  /// compile — every one of them on an index-order scan, which builds
+  /// no column chunk — runs row-wise inside the same loop. The morsel
+  /// decomposition and the merge order depend only on table contents,
+  /// never on the thread count, so results are bit-identical at any
+  /// width.
   Result<QueryResult> ExecuteMorselAggregate(const sql::SelectStmt& stmt);
-
-  /// Column-major variant of the morsel aggregate: morsels process
-  /// per-column slices through vectorized kernels (selection vectors,
-  /// typed accumulation) instead of calling Eval per row, and the
-  /// partial-group merge picks its fanout adaptively (central /
-  /// partitioned / radix) from the cardinality the first wave of
-  /// morsels observed. Shares the scan plan, page touching, and
-  /// morsel decomposition with the row path and produces bit-
-  /// identical results at every `exec_threads`. Returns nullopt when
-  /// nothing in the query vectorizes (e.g. string-only predicates) —
-  /// the caller then continues on the row path, which remains
-  /// byte-for-byte the pre-columnar pipeline.
-  Result<std::optional<QueryResult>> ExecuteColumnarAggregate(
-      const sql::SelectStmt& stmt, const storage::Table& t,
-      const ScanPlan& plan, const std::vector<const sql::Expr*>& preds,
-      const std::vector<const sql::Expr*>& agg_nodes,
-      const Relation& header);
 
   /// Cheap gate for the morsel-parallel join pipeline: a multi-table
   /// aggregate with no SELECT *, no subqueries, not correlated, and
-  /// `join_parallel` / `morsel_exec` enabled. Deeper shape conditions
+  /// not a reference executor. Deeper shape conditions
   /// (equality-connected join graph, no outer references) are checked
   /// during planning inside ExecuteMorselJoin.
   bool MorselJoinEligible(const sql::SelectStmt& stmt,
@@ -155,6 +152,9 @@ class Executor {
   /// driver table streams page-aligned morsels through the full probe
   /// chain (semi-join filter -> probe -> residual filter -> ... ->
   /// partial aggregate) without materializing intermediate relations.
+  /// The driver filters a selection vector and hashes the stage-0 keys
+  /// in slices; conjuncts and keys that do not compile (all of them on
+  /// an index-order driver scan) run row-wise in the same loop.
   /// Partials fold in morsel-index order, so results are bit-identical
   /// at every `exec_threads` setting. Returns nullopt when planning
   /// finds a shape the pipeline cannot run (cross join, outer
@@ -188,6 +188,7 @@ class Executor {
 
   Database* db_;
   ExecStats* stats_;
+  const bool reference_;
   std::vector<std::pair<std::string, AccessPath>> scan_paths_;
 };
 

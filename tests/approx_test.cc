@@ -603,14 +603,22 @@ TEST(ApproxKnobTest, SetKnobRejectionsListAcceptedValues) {
                                  {"x", "-0.1", "2", "on"});
   testutil::ExpectKnobValidation(exec, "approx", {"on", "off", "1", "0"},
                                  {"maybe", "2"});
-  testutil::ExpectKnobValidation(exec, "merge_strategy",
-                                 {"auto", "central", "partitioned", "radix"},
-                                 {"fancy", "1"});
   testutil::ExpectKnobValidation(exec, "exchange_strategy",
                                  {"auto", "shuffle", "broadcast"},
                                  {"teleport", "on"});
   // The engine-level mirrors followed the accepted values.
   EXPECT_FALSE(c.engine->approx_enabled());  // last accepted was "0"
+  // Removed pipeline knobs are unknown settings through the controller
+  // too, not no-ops a cluster-wide SET would silently accept.
+  for (const char* knob : {"morsel_exec", "join_parallel", "join_filter",
+                           "columnar_exec", "columnar_join",
+                           "merge_strategy"}) {
+    Status st = exec(std::string("set ") + knob + " = off");
+    EXPECT_EQ(st.code(), StatusCode::kNotFound) << knob << ": "
+                                                << st.ToString();
+    EXPECT_NE(st.message().find("unknown setting"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(ApproxKnobTest, ApproxKnobDefaultsOffAndRoundTrips) {

@@ -1,18 +1,20 @@
-// Columnar vectorized execution: bit-identity with the row path,
-// adaptive-merge strategy forcing, chunk invalidation after writes,
-// and knob validation.
+// Columnar vectorized execution: agreement with the reference
+// iterator, bit-identity across thread counts, adaptive-merge
+// strategy selection, chunk invalidation after writes, and removed
+// knobs.
 //
-// The core contract: with `columnar_exec = on` (the default) every
-// morsel-eligible aggregate must return results BIT-IDENTICAL to
-// `columnar_exec = off` (the pre-columnar row pipeline) at every
-// exec_threads setting. The vectorized kernels preserve the row
-// path's value semantics exactly — int->double promotion order,
-// NULL handling, min/max tie rules, NaN comparisons — so this holds
-// with no floating-point tolerance.
+// The core contract: every morsel-eligible aggregate returns results
+// BIT-IDENTICAL at every exec_threads setting, equal (up to float
+// association) to Database::ExecuteReference. Where exact bits
+// matter, the shared morsel scan is the oracle: it folds rows through
+// AggUpdate one at a time over the same morsels, and the vectorized
+// kernels preserve those value semantics exactly — int->double
+// promotion order, NULL handling, min/max tie rules, NaN comparisons
+// — so the two agree with no floating-point tolerance.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,9 +50,25 @@ void Set(engine::Database* db, const std::string& knob,
                       << r.status().ToString();
 }
 
-// Acceptance criterion: the columnar path is bit-identical to the
-// row path over the TPC-H read set at thread counts 1 / 2 / 8 and
-// two scale factors.
+// Runs `sql` as a two-statement shared-scan batch: the row-at-a-time
+// accumulation over the same morsels, bit-identical to solo execution
+// by contract.
+engine::QueryResult SharedScanResult(engine::Database* db,
+                                     const std::string& sql) {
+  Set(db, "share_scans", "on");
+  engine::Database::SharedExecResult batch =
+      db->ExecuteSharedSelects({sql, sql});
+  Set(db, "share_scans", "off");
+  EXPECT_TRUE(batch.shared) << sql;
+  EXPECT_TRUE(batch.results[0].ok())
+      << sql << ": " << batch.results[0].status().ToString();
+  return batch.results[0].ok() ? std::move(*batch.results[0])
+                               : engine::QueryResult{};
+}
+
+// Acceptance criterion: over the TPC-H read set at two scale factors
+// the pipelines equal the reference iterator and are bit-identical at
+// thread counts 1 / 2 / 8.
 TEST(ColumnarTest, ReadSetBitIdenticalToRowPath) {
   for (double sf : {0.001, 0.002}) {
     engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -58,32 +76,21 @@ TEST(ColumnarTest, ReadSetBitIdenticalToRowPath) {
     for (int q : ReadSet()) {
       auto sql = tpch::QuerySql(q);
       ASSERT_TRUE(sql.ok()) << "Q" << q;
-      for (int threads : {1, 2, 8}) {
-        Set(&db, "exec_threads", std::to_string(threads));
-        Set(&db, "columnar_exec", "off");
-        auto row = db.Execute(*sql);
-        ASSERT_TRUE(row.ok()) << "Q" << q << ": " << row.status().ToString();
-        Set(&db, "columnar_exec", "on");
-        auto col = db.Execute(*sql);
-        ASSERT_TRUE(col.ok()) << "Q" << q << ": " << col.status().ToString();
-        SCOPED_TRACE("sf=" + std::to_string(sf) + " Q" + std::to_string(q) +
-                     " threads=" + std::to_string(threads));
-        testutil::ExpectResultsIdentical(*row, *col);
-      }
+      SCOPED_TRACE("sf=" + std::to_string(sf) + " Q" + std::to_string(q));
+      testutil::ExpectPipelineMatchesReference(&db, *sql);
     }
   }
 }
 
-// Q1/Q6-style scans actually take the columnar path (they would be
+// Q1/Q6-style scans actually run vectorized kernels (they would be
 // silently meaningless bit-identity tests otherwise): vectorized row
-// counters light up when the knob is on and stay zero when off.
+// counters light up, and stay zero on the reference iterator.
 TEST(ColumnarTest, VectorizedCountersLightUpOnTheColumnarPath) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.001).LoadInto(&db).ok());
   for (int q : {1, 6}) {
     auto sql = tpch::QuerySql(q);
     ASSERT_TRUE(sql.ok());
-    Set(&db, "columnar_exec", "on");
     auto on = db.Execute(*sql);
     ASSERT_TRUE(on.ok()) << on.status().ToString();
     EXPECT_GT(on->stats.vectorized_rows, 0u) << "Q" << q;
@@ -91,19 +98,18 @@ TEST(ColumnarTest, VectorizedCountersLightUpOnTheColumnarPath) {
                   on->stats.merge_radix,
               0u)
         << "Q" << q;
-    Set(&db, "columnar_exec", "off");
-    auto off = db.Execute(*sql);
-    ASSERT_TRUE(off.ok()) << off.status().ToString();
-    EXPECT_EQ(off->stats.vectorized_rows, 0u) << "Q" << q;
-    EXPECT_EQ(off->stats.columnar_chunks_built, 0u) << "Q" << q;
-    EXPECT_EQ(off->stats.MergeStrategyCode(), 0) << "Q" << q;
+    auto ref = db.ExecuteReference(*sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_EQ(ref->stats.vectorized_rows, 0u) << "Q" << q;
+    EXPECT_EQ(ref->stats.columnar_chunks_built, 0u) << "Q" << q;
+    EXPECT_EQ(ref->stats.MergeStrategyCode(), 0) << "Q" << q;
   }
 }
 
 // The dictionary kernels and the vectorized probe must actually
 // engage (otherwise the bit-identity sweeps silently test nothing):
 // dict_hits lights up on a string predicate, probe_vectorized_rows on
-// a morsel join, and both stay zero when their knobs are off.
+// a morsel join, and both stay zero on the reference iterator.
 TEST(ColumnarTest, DictAndProbeCountersLightUp) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.001).LoadInto(&db).ok());
@@ -124,21 +130,14 @@ TEST(ColumnarTest, DictAndProbeCountersLightUp) {
   ASSERT_TRUE(join_on.ok()) << join_on.status().ToString();
   EXPECT_GT(join_on->stats.probe_vectorized_rows, 0u);
 
-  Set(&db, "columnar_join", "off");
-  auto join_off = db.Execute(*q3);
-  ASSERT_TRUE(join_off.ok());
-  EXPECT_EQ(join_off->stats.probe_vectorized_rows, 0u);
-  testutil::ExpectResultsIdentical(*join_on, *join_off);
-  Set(&db, "columnar_join", "on");
-
-  Set(&db, "columnar_exec", "off");
-  auto row = db.Execute(scan_sql);
+  auto row = db.ExecuteReference(scan_sql);
   ASSERT_TRUE(row.ok());
   EXPECT_EQ(row->stats.dict_hits, 0u);
-  auto join_row = db.Execute(*q3);
+  testutil::ExpectResultsEqual(*row, *on);
+  auto join_row = db.ExecuteReference(*q3);
   ASSERT_TRUE(join_row.ok());
   EXPECT_EQ(join_row->stats.probe_vectorized_rows, 0u);
-  Set(&db, "columnar_exec", "on");
+  testutil::ExpectResultsEqual(*join_row, *join_on);
 }
 
 engine::Database* MakeGroupedDb(int rows, int groups) {
@@ -154,49 +153,42 @@ engine::Database* MakeGroupedDb(int rows, int groups) {
   return db;
 }
 
-// Every forced merge strategy must return the row path's exact bits
-// — the strategy changes scheduling and accounting only — and the
-// forcing knob must actually pick the strategy it names.
-TEST(ColumnarTest, ForcedMergeStrategiesAreBitIdentical) {
-  std::unique_ptr<engine::Database> db(MakeGroupedDb(6000, 400));
-  const std::string sql =
-      "select g, count(*), sum(v), avg(v), min(v), max(v) from t "
-      "group by g order by g";
-  Set(db.get(), "columnar_exec", "off");
-  auto row = db->Execute(sql);
-  ASSERT_TRUE(row.ok()) << row.status().ToString();
-  Set(db.get(), "columnar_exec", "on");
-  const std::vector<std::pair<std::string, int>> strategies = {
-      {"central", 1}, {"partitioned", 2}, {"radix", 3}};
-  for (int threads : {1, 4}) {
-    Set(db.get(), "exec_threads", std::to_string(threads));
-    for (const auto& [name, code] : strategies) {
-      Set(db.get(), "merge_strategy", name);
-      auto col = db->Execute(sql);
-      ASSERT_TRUE(col.ok()) << col.status().ToString();
-      SCOPED_TRACE(name + " threads=" + std::to_string(threads));
-      EXPECT_EQ(col->stats.MergeStrategyCode(), code);
-      testutil::ExpectResultsIdentical(*row, *col);
+// The merge strategy follows observed partial-group cardinality: few
+// groups fold centrally, a few hundred partition, morsels that are
+// mostly distinct go radix — at every thread count.
+TEST(ColumnarTest, AutoStrategyTracksGroupCardinality) {
+  const std::vector<std::pair<int, int>> cases = {
+      {10, 1}, {400, 2}, {2000, 3}};  // {groups, MergeStrategyCode}
+  for (const auto& [groups, code] : cases) {
+    std::unique_ptr<engine::Database> db(MakeGroupedDb(4000, groups));
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("groups=" + std::to_string(groups) +
+                   " threads=" + std::to_string(threads));
+      Set(db.get(), "exec_threads", std::to_string(threads));
+      auto r = db->Execute("select g, sum(v) from t group by g");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->stats.MergeStrategyCode(), code);
     }
-    Set(db.get(), "merge_strategy", "auto");
-    auto col = db->Execute(sql);
-    ASSERT_TRUE(col.ok());
-    testutil::ExpectResultsIdentical(*row, *col);
   }
 }
 
-// The auto decision follows observed partial-group cardinality: few
-// groups fold centrally, morsels that are mostly-distinct go radix.
-TEST(ColumnarTest, AutoStrategyTracksGroupCardinality) {
-  std::unique_ptr<engine::Database> few(MakeGroupedDb(4000, 10));
-  auto r = few->Execute("select g, sum(v) from t group by g");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.MergeStrategyCode(), 1);  // central
-
-  std::unique_ptr<engine::Database> many(MakeGroupedDb(4000, 2000));
-  r = many->Execute("select g, sum(v) from t group by g");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.MergeStrategyCode(), 3);  // radix
+// Each merge strategy, forced by the group cardinality of its input,
+// is bit-identical across thread counts and equals the reference
+// iterator: the strategy changes scheduling and accounting only,
+// never result bits.
+TEST(ColumnarTest, ForcedMergeStrategiesAreBitIdentical) {
+  const std::string sql =
+      "select g, count(*), sum(v), avg(v), min(v), max(v) from t "
+      "group by g order by g";
+  const std::vector<std::pair<int, int>> cases = {
+      {10, 1}, {400, 2}, {2000, 3}};  // {groups, MergeStrategyCode}
+  for (const auto& [groups, code] : cases) {
+    std::unique_ptr<engine::Database> db(MakeGroupedDb(6000, groups));
+    SCOPED_TRACE("groups=" + std::to_string(groups));
+    engine::QueryResult r =
+        testutil::ExpectPipelineMatchesReference(db.get(), sql, {1, 4});
+    EXPECT_EQ(r.stats.MergeStrategyCode(), code);
+  }
 }
 
 // Chunks build lazily on the first columnar scan and rebuild (never
@@ -243,12 +235,12 @@ TEST(ColumnarTest, ChunkInvalidationAfterWrites) {
   EXPECT_EQ(r->rows[0][1].int_val(), 51);
 }
 
-// Satellite: int->double promotion parity. A sum over an int column
-// stays an int64 (wide-accumulator lane); mixing int-typed values
-// into a double column makes the row path promote mid-stream, and
-// the columnar path must produce the same type and bits — it does so
-// by refusing to materialize such columns and falling back to
-// row-wise accumulation inside the columnar pipeline.
+// Int->double promotion parity. A sum over an int column stays an
+// int64 (wide-accumulator lane); mixing int-typed values into a double
+// column makes AggUpdate promote mid-stream, and the columnar pipeline
+// must produce the same type and bits as the shared scan's row-at-a-
+// time accumulation — it does so by refusing to materialize such
+// columns and falling back to row-wise accumulation for them.
 TEST(ColumnarTest, PromotionParityAndIntSums) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(db.Execute("create table p (k int, i int, d double)").ok());
@@ -269,17 +261,13 @@ TEST(ColumnarTest, PromotionParityAndIntSums) {
       "select sum(i + d), avg(i * 2) from p where i > 1000",
   };
   for (const std::string& sql : queries) {
-    Set(&db, "columnar_exec", "off");
-    auto row = db.Execute(sql);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
-    Set(&db, "columnar_exec", "on");
+    engine::QueryResult row = SharedScanResult(&db, sql);
     auto col = db.Execute(sql);
     ASSERT_TRUE(col.ok()) << col.status().ToString();
     SCOPED_TRACE(sql);
-    testutil::ExpectResultsIdentical(*row, *col);
+    testutil::ExpectResultsIdentical(row, *col);
   }
   // Type check, not just printed bits: an all-int sum is an Int.
-  Set(&db, "columnar_exec", "on");
   auto r = db.Execute("select sum(i) from p");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows[0][0].type(), ValueType::kInt64);
@@ -288,9 +276,9 @@ TEST(ColumnarTest, PromotionParityAndIntSums) {
   EXPECT_EQ(r->rows[0][0].type(), ValueType::kDouble);
 }
 
-// Errors surface identically: a division by zero on a selected row
-// fails the statement on both paths.
-TEST(ColumnarTest, DivisionByZeroErrorsOnBothPaths) {
+// A division by zero on a selected row fails the statement, whether
+// the argument runs through a kernel or row-wise.
+TEST(ColumnarTest, DivisionByZeroFailsTheStatement) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(db.Execute("create table z (a int, b int)").ok());
   for (int i = 0; i < 10; ++i) {
@@ -298,35 +286,25 @@ TEST(ColumnarTest, DivisionByZeroErrorsOnBothPaths) {
                            ", " + std::to_string(i % 3) + ")")
                     .ok());
   }
-  for (const char* knob : {"off", "on"}) {
-    Set(&db, "columnar_exec", knob);
-    auto r = db.Execute("select sum(a / b) from z");
-    EXPECT_FALSE(r.ok()) << "columnar_exec=" << knob;
-  }
+  EXPECT_FALSE(db.Execute("select sum(a / b) from z").ok());
+  EXPECT_FALSE(db.Execute("select b, sum(a / b) from z group by b").ok());
+  EXPECT_FALSE(db.Execute("select count(*) from z where a / b > 1").ok());
+  EXPECT_TRUE(db.Execute("select sum(a / b) from z where b <> 0").ok());
 }
 
+// The pipeline choices have no switches left: the removed knobs are
+// unknown settings, not silently accepted no-ops.
 TEST(ColumnarTest, KnobValidationAndDefaults) {
   engine::Database db;
-  EXPECT_TRUE(db.settings()->enable_columnar_exec);
-  EXPECT_EQ(db.settings()->merge_strategy, engine::MergeStrategy::kAuto);
-  EXPECT_FALSE(db.Execute("set columnar_exec = sideways").ok());
-  EXPECT_FALSE(db.Execute("set merge_strategy = diagonal").ok());
-  ASSERT_TRUE(db.Execute("set columnar_exec = off").ok());
-  EXPECT_FALSE(db.settings()->enable_columnar_exec);
-  ASSERT_TRUE(db.Execute("set merge_strategy = radix").ok());
-  EXPECT_EQ(db.settings()->merge_strategy, engine::MergeStrategy::kRadix);
-  ASSERT_TRUE(db.Execute("set merge_strategy = auto").ok());
-  EXPECT_EQ(db.settings()->merge_strategy, engine::MergeStrategy::kAuto);
-}
-
-// APUAMA_COLUMNAR environment seed for the session default.
-TEST(ColumnarTest, EnvironmentVariableSeedsTheDefault) {
-  ::setenv("APUAMA_COLUMNAR", "off", 1);
-  EXPECT_FALSE(engine::DefaultColumnarExec());
-  ::setenv("APUAMA_COLUMNAR", "on", 1);
-  EXPECT_TRUE(engine::DefaultColumnarExec());
-  ::unsetenv("APUAMA_COLUMNAR");
-  EXPECT_TRUE(engine::DefaultColumnarExec());
+  for (const char* knob : {"columnar_exec", "columnar_join", "morsel_exec",
+                           "merge_strategy"}) {
+    auto r = db.Execute(std::string("set ") + knob + " = off");
+    ASSERT_FALSE(r.ok()) << knob;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << knob;
+    EXPECT_NE(r.status().message().find("unknown setting"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 }  // namespace

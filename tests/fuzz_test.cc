@@ -123,8 +123,9 @@ TEST(EngineFuzz, RandomStatementsAgainstRealSchema) {
 // Row/column agreement sweep: random numeric predicates and
 // aggregate lists over a randomly generated table (with NULLs and
 // int-typed values hiding in the double column, the promotion edge
-// case) must return bit-identical results with columnar execution on
-// and off, at a couple of thread counts.
+// case) must return bit-identical results from the columnar pipeline
+// and from a shared morsel scan, which accumulates row at a time over
+// the same morsels, at a couple of thread counts.
 TEST(EngineFuzz, ColumnarAgreesWithRowPathOnRandomPredicates) {
   Rng rng(0xC01A);
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -181,12 +182,16 @@ TEST(EngineFuzz, ColumnarAgreesWithRowPathOnRandomPredicates) {
     const int threads = rng.Bernoulli(0.5) ? 1 : 8;
     ASSERT_TRUE(
         db.Execute("set exec_threads = " + std::to_string(threads)).ok());
-    ASSERT_TRUE(db.Execute("set columnar_exec = off").ok());
-    auto row = db.Execute(sql);
-    ASSERT_TRUE(row.ok()) << sql << ": " << row.status().ToString();
-    ASSERT_TRUE(db.Execute("set columnar_exec = on").ok());
     auto col = db.Execute(sql);
     ASSERT_TRUE(col.ok()) << sql << ": " << col.status().ToString();
+    ASSERT_TRUE(db.Execute("set share_scans = on").ok());
+    engine::Database::SharedExecResult batch =
+        db.ExecuteSharedSelects({sql, sql});
+    ASSERT_TRUE(db.Execute("set share_scans = off").ok());
+    ASSERT_TRUE(batch.shared) << sql;
+    ASSERT_TRUE(batch.results[0].ok())
+        << sql << ": " << batch.results[0].status().ToString();
+    const engine::QueryResult* row = &*batch.results[0];
     ASSERT_EQ(row->column_names, col->column_names) << sql;
     ASSERT_EQ(row->rows.size(), col->rows.size()) << sql;
     for (size_t r = 0; r < row->rows.size(); ++r) {
@@ -207,9 +212,10 @@ TEST(EngineFuzz, ColumnarAgreesWithRowPathOnRandomPredicates) {
 // Dictionary-encoded string predicates: random equality / IN / range /
 // LIKE predicates over a NULL-heavy string column (empty strings,
 // duplicates, shared prefixes) must return bit-identical results with
-// the row path at several thread counts — both for aggregates (dict
-// predicate kernels) and for joins (vectorized probe, including a
-// dictionary-coded string join key).
+// the reference iterator at several thread counts — both for
+// aggregates (dict predicate kernels) and for joins (vectorized probe,
+// including a dictionary-coded string join key). Every aggregate is a
+// count or an int sum, so the comparison is exact.
 TEST(EngineFuzz, DictStringPredicatesAgreeWithRowPath) {
   Rng rng(0xD1C7);
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -291,41 +297,32 @@ TEST(EngineFuzz, DictStringPredicatesAgreeWithRowPath) {
               where.substr(7);
         break;
     }
-    // Row-path baseline, then every columnar configuration at several
-    // thread counts must match it bit for bit.
-    ASSERT_TRUE(db.Execute("set exec_threads = 1").ok());
-    ASSERT_TRUE(db.Execute("set columnar_exec = off").ok());
-    auto base = db.Execute(sql);
+    // Reference baseline; the pipelines at several thread counts must
+    // match it bit for bit.
+    auto base = db.ExecuteReference(sql);
     ASSERT_TRUE(base.ok()) << sql << ": " << base.status().ToString();
-    ASSERT_TRUE(db.Execute("set columnar_exec = on").ok());
-    for (const char* join_knob : {"off", "on"}) {
+    for (int threads : {1, 2, 8}) {
       ASSERT_TRUE(
-          db.Execute(std::string("set columnar_join = ") + join_knob).ok());
-      for (int threads : {1, 2, 8}) {
-        ASSERT_TRUE(
-            db.Execute("set exec_threads = " + std::to_string(threads))
-                .ok());
-        auto got = db.Execute(sql);
-        ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
-        ASSERT_EQ(base->column_names, got->column_names) << sql;
-        ASSERT_EQ(base->rows.size(), got->rows.size())
-            << sql << " join=" << join_knob << " threads=" << threads;
-        for (size_t r = 0; r < base->rows.size(); ++r) {
-          ASSERT_EQ(base->rows[r].size(), got->rows[r].size()) << sql;
-          for (size_t j = 0; j < base->rows[r].size(); ++j) {
-            const Value& e = base->rows[r][j];
-            const Value& g = got->rows[r][j];
-            ASSERT_TRUE(e.is_null() == g.is_null() &&
-                        (e.is_null() || e.Compare(g) == 0) &&
-                        e.ToString() == g.ToString())
-                << sql << " join=" << join_knob << " threads=" << threads
-                << " row " << r << " col " << j << ": row-path "
-                << e.ToString() << " columnar " << g.ToString();
-          }
+          db.Execute("set exec_threads = " + std::to_string(threads)).ok());
+      auto got = db.Execute(sql);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      ASSERT_EQ(base->column_names, got->column_names) << sql;
+      ASSERT_EQ(base->rows.size(), got->rows.size())
+          << sql << " threads=" << threads;
+      for (size_t r = 0; r < base->rows.size(); ++r) {
+        ASSERT_EQ(base->rows[r].size(), got->rows[r].size()) << sql;
+        for (size_t j = 0; j < base->rows[r].size(); ++j) {
+          const Value& e = base->rows[r][j];
+          const Value& g = got->rows[r][j];
+          ASSERT_TRUE(e.is_null() == g.is_null() &&
+                      (e.is_null() || e.Compare(g) == 0) &&
+                      e.ToString() == g.ToString())
+              << sql << " threads=" << threads << " row " << r << " col "
+              << j << ": reference " << e.ToString() << " pipeline "
+              << g.ToString();
         }
       }
     }
-    ASSERT_TRUE(db.Execute("set columnar_join = on").ok());
   }
 }
 

@@ -1,4 +1,4 @@
-// Morsel-parallel partitioned hash joins: determinism, legacy
+// Morsel-parallel partitioned hash joins: determinism, reference
 // agreement, semi-join filter pushdown, and accounting.
 //
 // The contracts under test:
@@ -6,12 +6,13 @@
 //    every `exec_threads`, because partition assignment, build
 //    insertion order, and partial folding depend only on table
 //    contents, never on scheduling;
-//  * the morsel join pipeline agrees with the legacy sequential
-//    chain (`SET join_parallel = off`) up to float association;
+//  * the morsel join pipeline agrees with the sequential reference
+//    chain (Database::ExecuteReference) up to float association,
+//    whether the driver is a full scan or an index position list;
 //  * join order is chosen from table contents, so permuting the
 //    FROM list cannot change the result bits;
-//  * `SET join_filter` changes probe counts, never results;
-//  * cross joins fall back to the legacy chain, and the capped
+//  * the semi-join filter prunes probe rows, never results;
+//  * cross joins fall back to the sequential chain, and the capped
 //    reservation hint keeps huge cross products allocation-safe.
 #include <gtest/gtest.h>
 
@@ -79,28 +80,63 @@ TEST(JoinParallelTest, JoinQueriesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The partitioned-hash-join pipeline must agree with the legacy
-// nested chain (`SET join_parallel = off`): same rows, same order,
-// values equal within float-association tolerance.
+// The partitioned-hash-join pipeline must agree with the sequential
+// reference chain: same rows, same order, values equal within
+// float-association tolerance.
 TEST(JoinParallelTest, MorselJoinMatchesLegacyChain) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
   for (int q : JoinQueries()) {
     auto sql = tpch::QuerySql(q);
     ASSERT_TRUE(sql.ok());
-    Set(&db, "join_parallel = off");
-    auto legacy = db.Execute(*sql);
-    ASSERT_TRUE(legacy.ok()) << "Q" << q << ": "
-                             << legacy.status().ToString();
-    EXPECT_EQ(legacy->stats.join_build_rows, 0u) << "Q" << q;
-    Set(&db, "join_parallel = on");
-    Set(&db, "exec_threads = 4");
-    auto morsel = db.Execute(*sql);
-    ASSERT_TRUE(morsel.ok()) << "Q" << q << ": "
-                             << morsel.status().ToString();
-    EXPECT_GT(morsel->stats.join_build_rows, 0u) << "Q" << q;
-    SCOPED_TRACE("Q" + std::to_string(q));
-    testutil::ExpectResultsEqual(*legacy, *morsel);
+    engine::QueryResult morsel =
+        testutil::ExpectPipelineMatchesReference(&db, *sql);
+    EXPECT_GT(morsel.stats.join_build_rows, 0u) << "Q" << q;
+  }
+}
+
+// A driver scanned through a secondary index streams the morsels of
+// its position list through the same driver loop, with every conjunct
+// and key row-wise, and builds no column chunk for the driver (the
+// dimension side is scanned and built row-wise in any case).
+TEST(JoinParallelTest, IndexDriverMatchesReference) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  Set(&db, "enable_seqscan = off");
+  // Secondary indexes map values to primary keys, so f needs one.
+  ASSERT_TRUE(db.Execute("create table f (k int, g int, v double, "
+                         "primary key (k))")
+                  .ok());
+  ASSERT_TRUE(db.Execute("create index f_g on f (g)").ok());
+  ASSERT_TRUE(db.Execute("create table d (id int, tag int)").ok());
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(db.Execute("insert into f values (" + std::to_string(i) +
+                           ", " + std::to_string(i % 37) + ", " +
+                           std::to_string(i) + ".25)")
+                    .ok());
+  }
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(db.Execute("insert into d values (" +
+                           std::to_string(i % 20) + ", " +
+                           std::to_string(i % 7) + ")")
+                    .ok());
+  }
+  const std::vector<std::string> queries = {
+      "select tag, count(*), sum(v) from f, d"
+      " where g between 2 and 9 and g = id group by tag order by tag",
+      "select count(*), sum(v), max(tag) from f, d"
+      " where g = 5 and g + 1 = id and v > 700.0",
+  };
+  for (const std::string& sql : queries) {
+    engine::QueryResult r =
+        testutil::ExpectPipelineMatchesReference(&db, sql);
+    SCOPED_TRACE(sql);
+    ASSERT_FALSE(r.rows.empty());
+    EXPECT_FALSE(r.rows[0][1].is_null());  // sum(v) over matched rows
+    EXPECT_TRUE(r.stats.used_index_scan);
+    EXPECT_GT(r.stats.join_build_rows, 0u);
+    EXPECT_GT(r.stats.join_probe_rows, 0u);
+    EXPECT_EQ(r.stats.probe_vectorized_rows, 0u);
+    EXPECT_EQ(r.stats.columnar_chunks_built, 0u);
   }
 }
 
@@ -138,9 +174,9 @@ TEST(JoinParallelTest, FromListPermutationsBitIdentical) {
   }
 }
 
-// Semi-join filter pushdown is a pure pruning optimization: turning
-// it off changes probe-side work, never a single result bit. With a
-// selective build side, the filter must actually skip probe rows.
+// Semi-join filter pushdown is a pure pruning optimization: with a
+// selective build side the filter must actually skip probe rows, and
+// the result still equals the reference chain, which has no filter.
 TEST(JoinParallelTest, SemiJoinFilterPrunesWithoutChangingResults) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
@@ -151,22 +187,17 @@ TEST(JoinParallelTest, SemiJoinFilterPrunesWithoutChangingResults) {
   auto filtered = db.Execute(*sql);
   ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
   EXPECT_GT(filtered->stats.filter_skipped_rows, 0u);
+  EXPECT_GT(filtered->stats.join_probe_rows, 0u);
 
-  Set(&db, "join_filter = off");
-  auto unfiltered = db.Execute(*sql);
-  ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
-  EXPECT_EQ(unfiltered->stats.filter_skipped_rows, 0u);
-  // The filter only skips rows the hash table would reject anyway, so
-  // probe attempts reaching the table differ but output cannot.
-  EXPECT_GE(unfiltered->stats.join_probe_rows,
-            filtered->stats.join_probe_rows);
-  testutil::ExpectResultsIdentical(*filtered, *unfiltered);
-  Set(&db, "join_filter = on");
+  auto ref = db.ExecuteReference(*sql);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(ref->stats.filter_skipped_rows, 0u);
+  testutil::ExpectResultsEqual(*ref, *filtered);
 }
 
 // Every join counter must land where it belongs: build rows from the
 // build sides, probe rows from surviving driver rows, and nothing at
-// all once the pipeline is disabled.
+// all on the reference chain.
 TEST(JoinParallelTest, JoinCountersTrackPipeline) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
@@ -179,26 +210,23 @@ TEST(JoinParallelTest, JoinCountersTrackPipeline) {
   EXPECT_GT(q3->stats.cpu_ops_parallel, 0u);
   EXPECT_GE(q3->stats.cpu_ops, q3->stats.cpu_ops_parallel);
 
-  Set(&db, "join_parallel = off");
-  auto off = db.Execute(*tpch::QuerySql(3));
+  auto off = db.ExecuteReference(*tpch::QuerySql(3));
   ASSERT_TRUE(off.ok());
   EXPECT_EQ(off->stats.join_build_rows, 0u);
   EXPECT_EQ(off->stats.join_probe_rows, 0u);
   EXPECT_EQ(off->stats.filter_skipped_rows, 0u);
 }
 
-// Cross joins (no equality predicate) fall back to the legacy chain
-// and still produce correct results; the reservation hint caps the
-// up-front allocation rather than reserving |L|x|R| rows.
+// Cross joins (no equality predicate) fall back to the sequential
+// chain and still produce correct results; the reservation hint caps
+// the up-front allocation rather than reserving |L|x|R| rows.
 TEST(JoinParallelTest, CrossJoinFallbackCorrect) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
-  Set(&db, "exec_threads = 4");
   // 25 nations x 5 regions x 10 suppliers-ish: a real cross product.
-  auto r = db.Execute(
-      "select count(*) from nation, region, supplier");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->rows.size(), 1u);
+  engine::QueryResult r = testutil::ExpectPipelineMatchesReference(
+      &db, "select count(*) from nation, region, supplier");
+  ASSERT_EQ(r.rows.size(), 1u);
   auto nations = db.Execute("select count(*) from nation");
   auto regions = db.Execute("select count(*) from region");
   auto suppliers = db.Execute("select count(*) from supplier");
@@ -206,8 +234,8 @@ TEST(JoinParallelTest, CrossJoinFallbackCorrect) {
   const int64_t expect = nations->rows[0][0].int_val() *
                          regions->rows[0][0].int_val() *
                          suppliers->rows[0][0].int_val();
-  EXPECT_EQ(r->rows[0][0].int_val(), expect);
-  EXPECT_EQ(r->stats.join_build_rows, 0u);
+  EXPECT_EQ(r.rows[0][0].int_val(), expect);
+  EXPECT_EQ(r.stats.join_build_rows, 0u);
 }
 
 // The reservation hint itself: exact product below the cap, capped
@@ -224,19 +252,17 @@ TEST(JoinParallelTest, JoinReserveHintCapsAndNeverOverflows) {
   EXPECT_EQ(JoinReserveHint(SIZE_MAX, 2), kCap);
 }
 
+// The join pipeline and its semi-join filter have no off switch.
 TEST(JoinParallelTest, SettingsValidation) {
   engine::Database db;
-  EXPECT_TRUE(db.settings()->enable_join_parallel);
-  EXPECT_TRUE(db.settings()->enable_join_filter);
-  EXPECT_TRUE(db.Execute("set join_parallel = off").ok());
-  EXPECT_FALSE(db.settings()->enable_join_parallel);
-  EXPECT_TRUE(db.Execute("set join_parallel = on").ok());
-  EXPECT_TRUE(db.settings()->enable_join_parallel);
-  EXPECT_FALSE(db.Execute("set join_parallel = maybe").ok());
-  EXPECT_TRUE(db.Execute("set join_filter = off").ok());
-  EXPECT_FALSE(db.settings()->enable_join_filter);
-  EXPECT_TRUE(db.Execute("set join_filter = on").ok());
-  EXPECT_FALSE(db.Execute("set join_filter = 2").ok());
+  for (const char* knob : {"join_parallel", "join_filter"}) {
+    auto r = db.Execute(std::string("set ") + knob + " = off");
+    ASSERT_FALSE(r.ok()) << knob;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << knob;
+    EXPECT_NE(r.status().message().find("unknown setting"),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 // morsel decomposition and the partial-merge order depend only on
 // table contents, never on scheduling. This covers both the
 // single-table pipeline and the morsel-parallel join pipeline.
-// Queries neither covers (subqueries) must take the sequential path
-// and still agree with it under `SET morsel_exec = off`.
+// Both must agree with the sequential reference iterator
+// (Database::ExecuteReference), which queries neither covers
+// (subqueries) take anyway.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -71,34 +72,33 @@ TEST(ParallelDeterminismTest, ReadSetBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The morsel pipeline must agree with the legacy sequential pipeline
-// (`SET morsel_exec = off`) up to floating-point association — the
-// two sum doubles in different orders, so exact bits may differ, but
-// values must match within standard tolerance.
+// The morsel pipelines must agree with the sequential reference
+// iterator up to floating-point association — the two sum doubles in
+// different orders, so exact bits may differ, but values must match
+// within standard tolerance — and stay bit-identical across thread
+// counts while doing so.
 TEST(ParallelDeterminismTest, MorselMatchesSequentialPipeline) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
   for (int q : ReadSet()) {
     auto sql = tpch::QuerySql(q);
     ASSERT_TRUE(sql.ok());
-    ASSERT_TRUE(db.Execute("set morsel_exec = off").ok());
-    auto seq = db.Execute(*sql);
-    ASSERT_TRUE(seq.ok()) << "Q" << q << ": " << seq.status().ToString();
-    ASSERT_TRUE(db.Execute("set morsel_exec = on").ok());
-    SetThreads(&db, 4);
-    auto morsel = db.Execute(*sql);
-    ASSERT_TRUE(morsel.ok()) << "Q" << q << ": "
-                             << morsel.status().ToString();
     SCOPED_TRACE("Q" + std::to_string(q));
-    testutil::ExpectResultsEqual(*seq, *morsel);
+    testutil::ExpectPipelineMatchesReference(&db, *sql);
   }
 }
 
 // Index and clustered-range access paths feed the same morsel
-// machinery; spot-check both with a small hand-built table.
+// pipeline; spot-check both with a small hand-built table. Secondary-
+// index scans run the pipeline over the position list with every step
+// row-wise, and must build no column chunk: the index queries run
+// first, so the full scan after them is the table's first chunk build.
 TEST(ParallelDeterminismTest, IndexAndRangePathsBitIdentical) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  ASSERT_TRUE(db.Execute("create table t (k int, g int, v double)").ok());
+  // Secondary indexes map values to primary keys, so t needs one.
+  ASSERT_TRUE(db.Execute("create table t (k int, g int, v double, "
+                         "primary key (k))")
+                  .ok());
   ASSERT_TRUE(db.Execute("create index t_g on t (g)").ok());
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(db.Execute("insert into t values (" + std::to_string(i) +
@@ -106,30 +106,64 @@ TEST(ParallelDeterminismTest, IndexAndRangePathsBitIdentical) {
                            std::to_string(i) + ".25)")
                     .ok());
   }
-  const std::vector<std::string> queries = {
-      // Secondary-index path on g.
-      "select g, sum(v), count(*) from t where g = 5 group by g",
-      // Full scan with grouped aggregation.
-      "select g, sum(v), avg(v), min(v), max(v) from t group by g order by g",
-      // Global aggregate with a selective filter.
-      "select count(*), sum(v) from t where v < 100.0",
+  struct Case {
+    std::string sql;
+    bool by_index;
   };
-  for (const std::string& sql : queries) {
+  const std::vector<Case> cases = {
+      // Secondary-index path on g: grouped, global, residual filter,
+      // expression key and argument.
+      {"select g, sum(v), count(*) from t where g = 5 group by g", true},
+      {"select count(*), sum(v), avg(v), min(k), max(v) from t "
+       "where g between 3 and 6",
+       true},
+      {"select k - g, count(*), sum(v * 2) from t "
+       "where g = 11 and v > 900.0 group by k - g order by k - g",
+       true},
+      // Full scan with grouped aggregation.
+      {"select g, sum(v), avg(v), min(v), max(v) from t group by g order by g",
+       false},
+      // Global aggregate with a selective filter.
+      {"select count(*), sum(v) from t where v < 100.0", false},
+  };
+  bool chunk_built = false;
+  for (const Case& c : cases) {
+    // Index-order scans win only with sequential scans disabled: the
+    // matching rows touch nearly every page.
+    ASSERT_TRUE(db.Execute(std::string("set enable_seqscan = ") +
+                           (c.by_index ? "off" : "on"))
+                    .ok());
+    auto ref = db.ExecuteReference(c.sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ASSERT_FALSE(ref->rows.empty()) << c.sql;
+    EXPECT_FALSE(ref->rows[0].back().is_null()) << c.sql;  // rows matched
     SetThreads(&db, 1);
-    auto base = db.Execute(sql);
+    auto base = db.Execute(c.sql);
     ASSERT_TRUE(base.ok()) << base.status().ToString();
+    SCOPED_TRACE(c.sql);
+    EXPECT_GT(base->stats.morsels, 0u);
+    EXPECT_EQ(base->stats.used_index_scan, c.by_index);
+    EXPECT_EQ(base->stats.used_seq_scan, !c.by_index);
+    if (c.by_index) {
+      EXPECT_EQ(base->stats.columnar_chunks_built, 0u);
+    } else if (!chunk_built) {
+      EXPECT_EQ(base->stats.columnar_chunks_built, 1u);
+      chunk_built = true;
+    }
+    testutil::ExpectResultsEqual(*ref, *base);
     for (int threads : {2, 8}) {
       SetThreads(&db, threads);
-      auto par = db.Execute(sql);
+      auto par = db.Execute(c.sql);
       ASSERT_TRUE(par.ok()) << par.status().ToString();
-      SCOPED_TRACE(sql + " threads=" + std::to_string(threads));
+      SCOPED_TRACE("threads=" + std::to_string(threads));
       testutil::ExpectResultsIdentical(*base, *par);
+      EXPECT_EQ(par->stats.columnar_chunks_built, 0u);
     }
   }
 }
 
-// Eligible aggregates report morsel counters; ineligible ones (joins)
-// and the morsel_exec=off escape hatch report none.
+// Eligible aggregates report morsel counters; ineligible ones (cross
+// joins) and the reference iterator report none.
 TEST(ParallelExecStatsTest, MorselCountersTrackEligibility) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
@@ -158,11 +192,10 @@ TEST(ParallelExecStatsTest, MorselCountersTrackEligibility) {
   EXPECT_EQ(cross->stats.cpu_ops_parallel, 0u);
   EXPECT_EQ(cross->stats.join_build_rows, 0u);
 
-  ASSERT_TRUE(db.Execute("set morsel_exec = off").ok());
-  auto q1_off = db.Execute(*tpch::QuerySql(1));
-  ASSERT_TRUE(q1_off.ok());
-  EXPECT_EQ(q1_off->stats.morsels, 0u);
-  testutil::ExpectResultsEqual(*q1, *q1_off);
+  auto q1_ref = db.ExecuteReference(*tpch::QuerySql(1));
+  ASSERT_TRUE(q1_ref.ok());
+  EXPECT_EQ(q1_ref->stats.morsels, 0u);
+  testutil::ExpectResultsEqual(*q1_ref, *q1);
 }
 
 // Page accounting must not depend on the thread count: the
@@ -198,10 +231,6 @@ TEST(ParallelSettingsTest, ExecThreadsValidation) {
   EXPECT_FALSE(db.Execute("set exec_threads = 999").ok());
   EXPECT_FALSE(db.Execute("set exec_threads = abc").ok());
   EXPECT_EQ(db.settings()->exec_threads, 4);  // unchanged on error
-  EXPECT_TRUE(db.Execute("set morsel_exec = off").ok());
-  EXPECT_FALSE(db.settings()->enable_morsel_exec);
-  EXPECT_TRUE(db.Execute("set morsel_exec = on").ok());
-  EXPECT_TRUE(db.settings()->enable_morsel_exec);
 }
 
 }  // namespace

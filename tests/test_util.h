@@ -7,10 +7,12 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "engine/database.h"
 #include "engine/query_result.h"
 #include "types/value.h"
 
@@ -123,6 +125,36 @@ inline void ExpectResultsIdentical(const engine::QueryResult& expected,
           << " actual " << a.ToString();
     }
   }
+}
+
+/// Differential check of the morsel pipelines against the sequential
+/// reference iterator: runs `sql` at each `exec_threads` setting, and
+/// every run must equal Database::ExecuteReference within float
+/// tolerance (same rows, same order) and be bit-identical to the first
+/// run. Returns the first run, for counter checks.
+inline engine::QueryResult ExpectPipelineMatchesReference(
+    engine::Database* db, const std::string& sql,
+    const std::vector<int>& threads = {1, 2, 8}) {
+  auto ref = db->ExecuteReference(sql);
+  EXPECT_TRUE(ref.ok()) << sql << ": " << ref.status().ToString();
+  if (!ref.ok()) return {};
+  EXPECT_EQ(ref->stats.morsels, 0u) << sql;
+  std::optional<engine::QueryResult> base;
+  for (int t : threads) {
+    auto set = db->Execute("set exec_threads = " + std::to_string(t));
+    EXPECT_TRUE(set.ok()) << set.status().ToString();
+    auto got = db->Execute(sql);
+    EXPECT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    if (!got.ok()) return {};
+    SCOPED_TRACE(sql + " threads=" + std::to_string(t));
+    ExpectResultsEqual(*ref, *got);
+    if (base.has_value()) {
+      ExpectResultsIdentical(*base, *got);
+    } else {
+      base = std::move(*got);
+    }
+  }
+  return base.has_value() ? std::move(*base) : engine::QueryResult{};
 }
 
 }  // namespace apuama::testutil
