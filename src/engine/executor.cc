@@ -981,13 +981,26 @@ Result<Executor::ScanPlan> Executor::PlanScan(
           cb.lo.present ? &cb.lo.value : nullptr, cb.lo.inclusive,
           cb.hi.present ? &cb.hi.value : nullptr, cb.hi.inclusive);
       stats_->cpu_ops += pks.size();
+      // Each distinct clustered-key tuple resolves to its whole run of
+      // heap positions: a repeated clustered key, or a table without
+      // one (every tuple empty, so the run is the heap), maps one
+      // entry to many rows. Residual predicates filter the extras.
       // Cost: one (possibly random) page per matching row, deduped
       // after sorting positions — a bitmap heap scan.
+      const storage::KeyLess key_less;
+      std::sort(pks.begin(), pks.end(), [&](const Row* a, const Row* b) {
+        return key_less(*a, *b);
+      });
+      pks.erase(std::unique(pks.begin(), pks.end(),
+                            [&](const Row* a, const Row* b) {
+                              return !key_less(*a, *b) && !key_less(*b, *a);
+                            }),
+                pks.end());
       std::vector<size_t> positions;
       positions.reserve(pks.size());
       for (const Row* pk : pks) {
-        size_t pos = t.PositionOfKey(*pk);
-        if (pos < t.num_rows()) positions.push_back(pos);
+        auto [begin, end] = t.PositionsOfKey(*pk);
+        for (size_t pos = begin; pos < end; ++pos) positions.push_back(pos);
       }
       std::sort(positions.begin(), positions.end());
       size_t rpp = t.rows_per_page();
@@ -2971,7 +2984,6 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     const Expr* lhs = nullptr;
     const Expr* rhs = nullptr;
     std::string lb, rb;
-    bool applied = false;
   };
   struct ResidualP {
     const Expr* expr = nullptr;
@@ -3025,11 +3037,123 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     }
   }
 
-  // Chain order: repeatedly add the smallest raw table connected to
-  // the covered set by an equality predicate (ties by binding name).
-  // Raw sizes make the order independent of scan selectivity and of
-  // the FROM permutation; a disconnected table means a cross join,
-  // which stays on the legacy path.
+  // A table that no chain of equality predicates connects to the
+  // driver means a cross join, which stays on the legacy path. With a
+  // connected graph the chain loop below always finds a next stage and
+  // consumes every join predicate.
+  {
+    std::set<std::string> reached = {from[driver].binding};
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (const auto& jp : join_preds) {
+        if (reached.count(jp.lb) != reached.count(jp.rb)) {
+          reached.insert(jp.lb);
+          reached.insert(jp.rb);
+          grew = true;
+        }
+      }
+    }
+    if (reached.size() < from.size()) return std::optional<QueryResult>();
+  }
+  std::vector<const Expr*> agg_nodes = CollectAggInventory(stmt);
+
+  // ---- Plan committed; stats mutations start here. Spans cover the
+  // pipeline phases only (coordinator thread) so trace shape does not
+  // depend on worker scheduling.
+  obs::Span join_span =
+      obs::Tracer::Global().StartSpan("morsel.join", "morsel");
+  int want = db_->settings()->exec_threads;
+  if (want < 1) want = 1;
+  ThreadPool* pool = want > 1 ? db_->exec_pool() : nullptr;
+  auto note_threads = [&](size_t items) {
+    const size_t th =
+        items == 0 ? 1 : std::min<size_t>(static_cast<size_t>(want), items);
+    if (th > stats_->exec_threads) {
+      stats_->exec_threads = static_cast<uint32_t>(th);
+    }
+  };
+  auto header_of = [](const FromBinding& fb) {
+    Relation rel;
+    rel.columns.reserve(fb.table->schema().num_columns());
+    for (const auto& col : fb.table->schema().columns()) {
+      rel.columns.push_back(ColumnBinding{fb.binding, col.name});
+    }
+    return rel;
+  };
+  obs::Span build_span =
+      obs::Tracer::Global().StartSpan("morsel.build", "morsel");
+
+  // ---- Build scans, first half: a build table is scanned in morsels
+  // and filtered by its own scan predicates as soon as it becomes a
+  // chain candidate. Survivor positions stay grouped by morsel so the
+  // bucketing pass below inserts in morsel order; their count is the
+  // chain rank's selectivity input.
+  struct Filtered {
+    bool done = false;
+    std::vector<std::vector<uint32_t>> survivors;  // per morsel
+    size_t kept = 0;
+  };
+  std::vector<Filtered> filtered(from.size());
+  auto filter_build_side = [&](size_t i) -> Status {
+    const FromBinding& fb = from[i];
+    const storage::Table& t = *fb.table;
+    const std::vector<const Expr*>& preds = scan_preds[i];
+    APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(fb, preds, nullptr));
+    ScanMorsels sm = TouchAndMorselize(t, plan);
+    stats_->morsels += sm.morsels.size();
+    note_threads(sm.morsels.size());
+    const Relation header = header_of(fb);
+    Filtered& f = filtered[i];
+    f.survivors.resize(sm.morsels.size());
+    std::vector<uint64_t> cpu(sm.morsels.size(), 0);
+    auto filter_morsel = [&](size_t mi) -> Status {
+      ColumnResolver resolver(&header);
+      EvalScope scope{&resolver, nullptr, nullptr};
+      EvalContext ctx;
+      ctx.scope = &scope;
+      ctx.executor = nullptr;  // eligibility guaranteed no subqueries
+      ctx.cpu_ops = &cpu[mi];
+      for (size_t j = sm.morsels[mi].begin; j < sm.morsels[mi].end; ++j) {
+        const size_t pos = sm.by_position_list ? plan.index_positions[j] : j;
+        scope.row = &t.row(pos);
+        bool keep = true;
+        for (const Expr* p : preds) {
+          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
+          if (Truthiness(v) != 1) {
+            keep = false;
+            break;
+          }
+        }
+        if (keep) f.survivors[mi].push_back(static_cast<uint32_t>(pos));
+      }
+      return Status::OK();
+    };
+    APUAMA_RETURN_NOT_OK(
+        ParallelFor(pool, 0, sm.morsels.size(), filter_morsel));
+    for (size_t mi = 0; mi < sm.morsels.size(); ++mi) {
+      stats_->tuples_scanned += sm.morsels[mi].end - sm.morsels[mi].begin;
+      stats_->cpu_ops += cpu[mi];
+      stats_->cpu_ops_parallel += cpu[mi];
+      f.kept += f.survivors[mi].size();
+    }
+    f.done = true;
+    return Status::OK();
+  };
+
+  // ---- Chain order. Each step adds one of the tables equality-
+  // connected to the covered set, ranked by
+  //   1. key coverage: the stage's build keys name every column of
+  //      the table's clustered key, so a probe row matches at most one
+  //      build row (a non-unique clustered key only makes that guess
+  //      wrong, which costs time, never correctness);
+  //   2. filter selectivity, survivors / raw rows, lower first;
+  //   3. raw rows, then binding name.
+  // A many-to-many stage early in the chain multiplies the probes of
+  // every later stage — TPC-H Q5's c_nationkey = s_nationkey would
+  // fan each lineitem row out to every customer of its nation — so
+  // unique and selective joins go first. Every input is a function of
+  // table contents and statement text, never of the thread count or
+  // the FROM order.
   struct BuildStage {
     size_t from_idx = 0;
     std::vector<const Expr*> probe_keys;  // over already-covered bindings
@@ -3038,58 +3162,84 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   };
   std::vector<BuildStage> stages;
   std::set<std::string> covered = {from[driver].binding};
-  std::vector<bool> merged(from.size(), false);
-  merged[driver] = true;
   // Coverage step per FROM index: 0 = driver, k + 1 = after stage k.
   std::vector<size_t> coverage_order(from.size(), 0);
-  while (stages.size() + 1 < from.size()) {
-    size_t best = from.size();
-    for (size_t i = 0; i < from.size(); ++i) {
-      if (merged[i]) continue;
-      bool connected = false;
-      for (const auto& jp : join_preds) {
-        if (jp.applied) continue;
-        if ((covered.count(jp.lb) && jp.rb == from[i].binding) ||
-            (covered.count(jp.rb) && jp.lb == from[i].binding)) {
-          connected = true;
-          break;
-        }
-      }
-      if (!connected) continue;
-      if (best == from.size() ||
-          from[i].table->num_rows() < from[best].table->num_rows() ||
-          (from[i].table->num_rows() == from[best].table->num_rows() &&
-           from[i].binding < from[best].binding)) {
-        best = i;
-      }
-    }
-    if (best == from.size()) {
-      return std::optional<QueryResult>();  // cross join: legacy path
-    }
+  auto stage_for = [&](size_t i) {
     BuildStage st;
-    st.from_idx = best;
-    const std::string& b = from[best].binding;
-    for (auto& jp : join_preds) {
-      if (jp.applied) continue;
-      if (covered.count(jp.lb) && jp.rb == b) {
+    st.from_idx = i;
+    for (const auto& jp : join_preds) {
+      if (covered.count(jp.lb) && jp.rb == from[i].binding) {
         st.probe_keys.push_back(jp.lhs);
         st.build_keys.push_back(jp.rhs);
-        jp.applied = true;
-      } else if (covered.count(jp.rb) && jp.lb == b) {
+      } else if (covered.count(jp.rb) && jp.lb == from[i].binding) {
         st.probe_keys.push_back(jp.rhs);
         st.build_keys.push_back(jp.lhs);
-        jp.applied = true;
       }
     }
-    covered.insert(b);
-    merged[best] = true;
-    coverage_order[best] = stages.size() + 1;
-    stages.push_back(std::move(st));
+    return st;
+  };
+  auto covers_clustered_key = [&](const BuildStage& st) {
+    const storage::Table& t = *from[st.from_idx].table;
+    const std::vector<int>& key = t.clustered_key();
+    return !key.empty() &&
+           std::all_of(key.begin(), key.end(), [&](int kc) {
+             return std::any_of(
+                 st.build_keys.begin(), st.build_keys.end(),
+                 [&](const Expr* k) {
+                   return k->kind == ExprKind::kColumnRef &&
+                          t.schema().FindColumn(k->column_name) == kc;
+                 });
+           });
+  };
+  auto ranks_before = [&](const BuildStage& a, const BuildStage& b) {
+    const bool unique_a = covers_clustered_key(a);
+    const bool unique_b = covers_clustered_key(b);
+    if (unique_a != unique_b) return unique_a;
+    const uint64_t raw_a = from[a.from_idx].table->num_rows();
+    const uint64_t raw_b = from[b.from_idx].table->num_rows();
+    // kept_a / raw_a vs kept_b / raw_b, cross-multiplied to stay exact.
+    const uint64_t sel_a = filtered[a.from_idx].kept * raw_b;
+    const uint64_t sel_b = filtered[b.from_idx].kept * raw_a;
+    if (sel_a != sel_b) return sel_a < sel_b;
+    if (raw_a != raw_b) return raw_a < raw_b;
+    return from[a.from_idx].binding < from[b.from_idx].binding;
+  };
+  while (stages.size() + 1 < from.size()) {
+    // Candidates in binding-name order, so the filter passes touch
+    // pages in an order independent of the FROM list.
+    std::vector<BuildStage> candidates;
+    for (size_t i = 0; i < from.size(); ++i) {
+      if (covered.count(from[i].binding)) continue;
+      BuildStage st = stage_for(i);
+      if (!st.build_keys.empty()) candidates.push_back(std::move(st));
+    }
+    if (candidates.empty()) {
+      return Status::Internal("morsel join: disconnected join graph");
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [&](const BuildStage& a, const BuildStage& b) {
+                return from[a.from_idx].binding < from[b.from_idx].binding;
+              });
+    for (const BuildStage& st : candidates) {
+      if (!filtered[st.from_idx].done) {
+        APUAMA_RETURN_NOT_OK(filter_build_side(st.from_idx));
+      }
+    }
+    BuildStage& best = *std::min_element(candidates.begin(),
+                                         candidates.end(), ranks_before);
+    const size_t b = best.from_idx;
+    covered.insert(from[b].binding);
+    coverage_order[b] = stages.size() + 1;
+    stages.push_back(std::move(best));
   }
-  for (const auto& jp : join_preds) {
-    // Defensive: every pred connects two FROM bindings and both end up
-    // covered, so the chain loop must have consumed it.
-    if (!jp.applied) return std::optional<QueryResult>();
+  if (join_span.active()) {
+    std::string chain;
+    for (const BuildStage& st : stages) {
+      if (!chain.empty()) chain += ',';
+      chain += from[st.from_idx].binding;
+    }
+    join_span.AddAttr("stages", static_cast<int64_t>(stages.size()));
+    join_span.AddAttr("chain", chain);
   }
   for (const ResidualP& rc : residual_conjs) {
     size_t latest = 0;
@@ -3119,32 +3269,12 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     append_cols(&layouts[k + 1], from[stages[k].from_idx]);
   }
 
-  std::vector<const Expr*> agg_nodes = CollectAggInventory(stmt);
-
-  // ---- Plan committed; stats mutations start here. Spans cover the
-  // pipeline phases only (coordinator thread) so trace shape does not
-  // depend on worker scheduling.
-  obs::Span join_span =
-      obs::Tracer::Global().StartSpan("morsel.join", "morsel");
-  if (join_span.active()) {
-    join_span.AddAttr("stages", static_cast<int64_t>(stages.size()));
-  }
-  int want = db_->settings()->exec_threads;
-  if (want < 1) want = 1;
-  ThreadPool* pool = want > 1 ? db_->exec_pool() : nullptr;
-  auto note_threads = [&](size_t items) {
-    const size_t th =
-        items == 0 ? 1 : std::min<size_t>(static_cast<size_t>(want), items);
-    if (th > stats_->exec_threads) {
-      stats_->exec_threads = static_cast<uint32_t>(th);
-    }
-  };
-
-  // ---- Parallel partitioned builds, one stage at a time. Each build
-  // side is scanned in morsels (filtering + key evaluation fan out),
-  // then the hash partitions are assembled concurrently — each in
-  // morsel-index order, so hash-table iteration order, and therefore
-  // every downstream value, is identical at every thread count.
+  // ---- Build scans, second half: parallel partitioned builds, one
+  // stage at a time. Each stage's survivors evaluate their join keys
+  // morsel by morsel, then the hash partitions are assembled
+  // concurrently — each in morsel-index order, so hash-table iteration
+  // order, and therefore every downstream value, is identical at every
+  // thread count.
   struct BuiltStage {
     std::array<std::vector<Row>, kMergePartitions> rows;
     std::array<std::unordered_multimap<Row, size_t, RowHash, RowEq>,
@@ -3153,22 +3283,12 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     std::array<KeyFilter, kMergePartitions> filters;
   };
   std::vector<BuiltStage> built(stages.size());
-  obs::Span build_span =
-      obs::Tracer::Global().StartSpan("morsel.build", "morsel");
   for (size_t s = 0; s < stages.size(); ++s) {
     const FromBinding& fb = from[stages[s].from_idx];
     const storage::Table& t = *fb.table;
-    const std::vector<const Expr*>& preds = scan_preds[stages[s].from_idx];
-    APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(fb, preds, nullptr));
-    ScanMorsels sm = TouchAndMorselize(t, plan);
-    stats_->morsels += sm.morsels.size();
-    note_threads(sm.morsels.size());
-
-    Relation bheader;
-    bheader.columns.reserve(t.schema().num_columns());
-    for (const auto& col : t.schema().columns()) {
-      bheader.columns.push_back(ColumnBinding{fb.binding, col.name});
-    }
+    const std::vector<std::vector<uint32_t>>& survivors =
+        filtered[stages[s].from_idx].survivors;
+    const Relation bheader = header_of(fb);
 
     // The key hash is computed once per build row and reused for the
     // partition choice, the semi-join filter bits, and the insert.
@@ -3180,11 +3300,10 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     struct BuildChunk {
       std::array<std::vector<Keyed>, kMergePartitions> keyed;
       uint64_t cpu = 0;
-      uint64_t scanned = 0;
     };
-    std::vector<BuildChunk> chunks(sm.morsels.size());
+    std::vector<BuildChunk> chunks(survivors.size());
     const std::vector<const Expr*>& build_keys = stages[s].build_keys;
-    auto scan_morsel = [&](size_t mi) -> Status {
+    auto key_morsel = [&](size_t mi) -> Status {
       BuildChunk& ch = chunks[mi];
       ColumnResolver resolver(&bheader);
       EvalScope scope{&resolver, nullptr, nullptr};
@@ -3192,20 +3311,9 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       ctx.scope = &scope;
       ctx.executor = nullptr;  // eligibility guaranteed no subqueries
       ctx.cpu_ops = &ch.cpu;
-      for (size_t j = sm.morsels[mi].begin; j < sm.morsels[mi].end; ++j) {
-        const size_t pos = sm.by_position_list ? plan.index_positions[j] : j;
+      for (const uint32_t pos : survivors[mi]) {
         const Row& r = t.row(pos);
-        ++ch.scanned;
         scope.row = &r;
-        bool keep = true;
-        for (const Expr* p : preds) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
-          if (Truthiness(v) != 1) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
         Row key;
         key.reserve(build_keys.size());
         bool null_key = false;
@@ -3223,8 +3331,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       }
       return Status::OK();
     };
-    APUAMA_RETURN_NOT_OK(
-        ParallelFor(pool, 0, sm.morsels.size(), scan_morsel));
+    APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, chunks.size(), key_morsel));
 
     BuiltStage& bs = built[s];
     std::array<uint64_t, kMergePartitions> part_cpu{};
@@ -3247,7 +3354,6 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
         ParallelFor(pool, 0, kMergePartitions, build_partition));
 
     for (const BuildChunk& ch : chunks) {
-      stats_->tuples_scanned += ch.scanned;
       stats_->cpu_ops += ch.cpu;
       stats_->cpu_ops_parallel += ch.cpu;
     }

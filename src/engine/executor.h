@@ -147,11 +147,13 @@ class Executor {
                           const EvalScope* outer) const;
 
   /// Morsel-parallel partitioned hash-join pipeline: every non-driver
-  /// table is scanned in morsels and built into a 16-way hash-
-  /// partitioned table (partitions built concurrently), then the
-  /// driver table streams page-aligned morsels through the full probe
-  /// chain (semi-join filter -> probe -> residual filter -> ... ->
-  /// partial aggregate) without materializing intermediate relations.
+  /// table is scanned and filtered in morsels, ordered into the build
+  /// chain (key-unique stages first, then the most selective), and
+  /// built into a 16-way hash-partitioned table (partitions built
+  /// concurrently), then the driver table streams page-aligned
+  /// morsels through the full probe chain (semi-join filter -> probe
+  /// -> residual filter -> ... -> partial aggregate) without
+  /// materializing intermediate relations.
   /// The driver filters a selection vector and hashes the stage-0 keys
   /// in slices; conjuncts and keys that do not compile (all of them on
   /// an index-order driver scan) run row-wise in the same loop.

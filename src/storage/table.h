@@ -115,7 +115,12 @@ class Table {
                                            const Value* hi,
                                            bool hi_inclusive) const;
 
-  /// Heap position of the row with this clustered-key tuple, or
+  /// Heap positions [begin, end) of every row with this clustered-key
+  /// tuple: more than one when the key repeats, the whole heap when
+  /// the table has no clustered key. Empty (begin == end) when absent.
+  std::pair<size_t, size_t> PositionsOfKey(const Row& key) const;
+
+  /// Heap position of the first row with this clustered-key tuple, or
   /// num_rows() when absent.
   size_t PositionOfKey(const Row& key) const;
 

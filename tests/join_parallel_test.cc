@@ -11,6 +11,9 @@
 //    whether the driver is a full scan or an index position list;
 //  * join order is chosen from table contents, so permuting the
 //    FROM list cannot change the result bits;
+//  * the build chain takes key-unique, then selective stages first,
+//    so a many-to-many join cannot multiply every later stage's
+//    probes;
 //  * the semi-join filter prunes probe rows, never results;
 //  * cross joins fall back to the sequential chain, and the capped
 //    reservation hint keeps huge cross products allocation-safe.
@@ -19,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/database.h"
@@ -102,7 +106,6 @@ TEST(JoinParallelTest, MorselJoinMatchesLegacyChain) {
 TEST(JoinParallelTest, IndexDriverMatchesReference) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   Set(&db, "enable_seqscan = off");
-  // Secondary indexes map values to primary keys, so f needs one.
   ASSERT_TRUE(db.Execute("create table f (k int, g int, v double, "
                          "primary key (k))")
                   .ok());
@@ -141,37 +144,132 @@ TEST(JoinParallelTest, IndexDriverMatchesReference) {
 }
 
 // Driver selection and build-chain order are functions of table
-// contents (row counts, binding names) — never of the FROM list's
-// textual order. Permutations of the same query must be bit-identical
-// at every thread count.
+// contents (row counts, survivor counts, clustered keys, binding
+// names) — never of the FROM list's textual order. Permutations of
+// the same query must be bit-identical at every thread count.
 TEST(JoinParallelTest, FromListPermutationsBitIdentical) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
-  const std::string select =
+  const std::string nations =
       "select n_name, count(*) as cnt,"
       " sum(s_acctbal) as bal"
-      " from ";
-  const std::string where =
+      " from @"
       " where s_nationkey = n_nationkey"
       " and n_regionkey = r_regionkey"
       " group by n_name order by n_name";
-  const std::vector<std::string> froms = {
-      "supplier, nation, region",
-      "region, nation, supplier",
-      "nation, region, supplier",
-  };
-  for (int threads : {1, 4}) {
-    Set(&db, "exec_threads = " + std::to_string(threads));
-    auto base = db.Execute(select + froms[0] + where);
-    ASSERT_TRUE(base.ok()) << base.status().ToString();
-    EXPECT_GT(base->stats.join_build_rows, 0u);
-    for (size_t i = 1; i < froms.size(); ++i) {
-      auto perm = db.Execute(select + froms[i] + where);
-      ASSERT_TRUE(perm.ok()) << perm.status().ToString();
-      SCOPED_TRACE(froms[i] + " threads=" + std::to_string(threads));
-      testutil::ExpectResultsIdentical(*base, *perm);
+  const std::string q5_from =
+      "customer, orders, lineitem, supplier, nation, region";
+  std::string q5 = *tpch::QuerySql(5);
+  const size_t at = q5.find(q5_from);
+  ASSERT_NE(at, std::string::npos);
+  q5.replace(at, q5_from.size(), "@");
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      cases = {
+          {nations,
+           {"supplier, nation, region", "region, nation, supplier",
+            "nation, region, supplier"}},
+          {q5,
+           {q5_from, "region, nation, supplier, lineitem, orders, customer",
+            "lineitem, region, customer, nation, orders, supplier",
+            "supplier, customer, region, orders, nation, lineitem"}},
+      };
+  for (const auto& [shape, froms] : cases) {
+    auto with_from = [&](const std::string& from) {
+      std::string sql = shape;
+      sql.replace(sql.find('@'), 1, from);
+      return sql;
+    };
+    for (int threads : {1, 4}) {
+      Set(&db, "exec_threads = " + std::to_string(threads));
+      auto base = db.Execute(with_from(froms[0]));
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      EXPECT_GT(base->stats.join_build_rows, 0u);
+      EXPECT_FALSE(base->rows.empty());
+      for (size_t i = 1; i < froms.size(); ++i) {
+        auto perm = db.Execute(with_from(froms[i]));
+        ASSERT_TRUE(perm.ok()) << perm.status().ToString();
+        SCOPED_TRACE(froms[i] + " threads=" + std::to_string(threads));
+        testutil::ExpectResultsIdentical(*base, *perm);
+        EXPECT_EQ(base->stats.cpu_ops, perm->stats.cpu_ops);
+        EXPECT_EQ(base->stats.join_probe_rows, perm->stats.join_probe_rows);
+      }
     }
   }
+}
+
+// The chain takes key-unique stages first, then the most selective
+// ones. On TPC-H Q5 that keeps every probe stage from fanning out
+// through the many-to-many c_nationkey = s_nationkey join, so the
+// whole chain probes fewer rows than the driver holds; and on every
+// paper join query the pipeline does no more work than the reference
+// iterator's greedy chain while returning the same answer.
+TEST(JoinParallelTest, ChainOrderProbesUniqueAndSelectiveStagesFirst) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
+  auto lineitems = db.Execute("select count(*) from lineitem");
+  ASSERT_TRUE(lineitems.ok());
+  for (int q : {3, 5, 10, 12, 14}) {
+    SCOPED_TRACE("Q" + std::to_string(q));
+    const std::string sql = *tpch::QuerySql(q);
+    engine::QueryResult got =
+        testutil::ExpectPipelineMatchesReference(&db, sql);
+    auto ref = db.ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_GT(got.stats.join_build_rows, 0u);
+    EXPECT_LE(got.stats.cpu_ops, ref->stats.cpu_ops);
+    if (q == 5) {
+      EXPECT_LE(got.stats.join_probe_rows,
+                static_cast<uint64_t>(lineitems->rows[0][0].int_val()));
+    }
+  }
+}
+
+// A fact table joins a filtered dimension on its primary key and an
+// unfiltered dimension on a many-to-many key. The unique dimension is
+// the larger table, so raw size alone would probe the fan-out first
+// (every fact row times 10 group rows, before the filter bites); the
+// chain must probe the unique, selective stage first so that only
+// its survivors reach the fan-out.
+TEST(JoinParallelTest, UniqueSelectiveStageProbedBeforeFanOut) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(db.Execute("create table fact (k int, a int, b int, "
+                         "v double, primary key (k))")
+                  .ok());
+  ASSERT_TRUE(db.Execute("create table uniq (id int, flag int, "
+                         "primary key (id))")
+                  .ok());
+  ASSERT_TRUE(db.Execute("create table grp (g int, w int)").ok());
+  constexpr int kFacts = 2000;
+  constexpr int kUniq = 500;
+  for (int i = 0; i < kFacts; ++i) {
+    ASSERT_TRUE(db.Execute("insert into fact values (" + std::to_string(i) +
+                           ", " + std::to_string(i % kUniq) + ", " +
+                           std::to_string(i % 4) + ", " +
+                           std::to_string(i) + ".5)")
+                    .ok());
+  }
+  for (int i = 0; i < kUniq; ++i) {  // flag = 1 keeps 1 row in 10
+    ASSERT_TRUE(db.Execute("insert into uniq values (" + std::to_string(i) +
+                           ", " + std::to_string(i % 10 == 0 ? 1 : 0) + ")")
+                    .ok());
+  }
+  for (int i = 0; i < 40; ++i) {  // 10 rows per group value 0..3
+    ASSERT_TRUE(db.Execute("insert into grp values (" +
+                           std::to_string(i % 4) + ", " + std::to_string(i) +
+                           ")")
+                    .ok());
+  }
+  const std::string sql =
+      "select count(*), sum(v), sum(w) from fact, grp, uniq"
+      " where b = g and a = id and flag = 1";
+  engine::QueryResult r = testutil::ExpectPipelineMatchesReference(&db, sql);
+  ASSERT_EQ(r.rows.size(), 1u);
+  // 1 fact row in 10 survives uniq and meets 10 grp rows.
+  EXPECT_EQ(r.rows[0][0].int_val(), kFacts / 10 * 10);
+  // uniq first: at most every fact row probes it, then exactly its
+  // kFacts / 10 survivors probe grp. grp first would probe grp with
+  // every fact row and uniq with each of their 10 matches.
+  EXPECT_LE(r.stats.join_probe_rows, uint64_t{kFacts + kFacts / 10});
 }
 
 // Semi-join filter pushdown is a pure pruning optimization: with a

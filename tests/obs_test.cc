@@ -282,6 +282,28 @@ TEST(TraceOffBitIdentityTest, TracingDoesNotPerturbResultsOrStats) {
   }
 }
 
+// The morsel.join span names its build chain in stage order, so a
+// trace shows which table each probe stage joined (Q5: the key-unique
+// orders and supplier stages before the customer fan-out).
+TEST(TraceTest, MorselJoinSpanNamesItsBuildChain) {
+  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.002});
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(data.LoadInto(&db).ok());
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  auto r = db.Execute(*tpch::QuerySql(5));
+  const std::string tree = tracer.DumpTree();
+  tracer.SetEnabled(false);
+  tracer.Clear();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(tree.find("morsel.join [morsel]"), std::string::npos) << tree;
+  EXPECT_NE(
+      tree.find(" stages=5 chain=orders,supplier,nation,region,customer\n"),
+      std::string::npos)
+      << tree;
+}
+
 // ---------------------------------------------------------------------
 // EXPLAIN ANALYZE: fixed-shape per-level breakdown.
 

@@ -95,7 +95,6 @@ TEST(ParallelDeterminismTest, MorselMatchesSequentialPipeline) {
 // first, so the full scan after them is the table's first chunk build.
 TEST(ParallelDeterminismTest, IndexAndRangePathsBitIdentical) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  // Secondary indexes map values to primary keys, so t needs one.
   ASSERT_TRUE(db.Execute("create table t (k int, g int, v double, "
                          "primary key (k))")
                   .ok());
@@ -158,6 +157,49 @@ TEST(ParallelDeterminismTest, IndexAndRangePathsBitIdentical) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       testutil::ExpectResultsIdentical(*base, *par);
       EXPECT_EQ(par->stats.columnar_chunks_built, 0u);
+    }
+  }
+}
+
+// A secondary index reaches heap rows through their clustered-key
+// tuples. Without a clustered key every tuple is empty, and with a
+// repeated one a tuple names a run of rows: either way one index
+// entry stands for many rows, and the index path must return all of
+// them, exactly as the sequential scan and the reference iterator do.
+TEST(ParallelDeterminismTest, IndexWithoutUniqueClusteredKeyFindsEveryRow) {
+  for (const std::string key : {"", ", primary key (k)"}) {
+    SCOPED_TRACE(key.empty() ? "no clustered key" : "repeated clustered key");
+    engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+    ASSERT_TRUE(
+        db.Execute("create table t (k int, g int, v double" + key + ")")
+            .ok());
+    ASSERT_TRUE(db.Execute("create index t_g on t (g)").ok());
+    for (int i = 0; i < 600; ++i) {  // k repeats 6 times
+      ASSERT_TRUE(db.Execute("insert into t values (" +
+                             std::to_string(i % 100) + ", " +
+                             std::to_string(i % 37) + ", " +
+                             std::to_string(i) + ".25)")
+                      .ok());
+    }
+    for (const std::string sql :
+         {"select k, g, v from t where g = 7 order by v",
+          "select g, count(*), sum(v), min(k) from t"
+          " where g between 3 and 5 group by g order by g"}) {
+      SCOPED_TRACE(sql);
+      ASSERT_TRUE(db.Execute("set enable_seqscan = on").ok());
+      auto seq = db.Execute(sql);
+      ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+      EXPECT_TRUE(seq->stats.used_seq_scan);
+      ASSERT_GE(seq->rows.size(), 3u);
+      ASSERT_TRUE(db.Execute("set enable_seqscan = off").ok());
+      auto ref = db.ExecuteReference(sql);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      auto idx = db.Execute(sql);
+      ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+      EXPECT_TRUE(idx->stats.used_index_scan);
+      EXPECT_FALSE(idx->stats.used_seq_scan);
+      testutil::ExpectResultsEqual(*seq, *ref);
+      testutil::ExpectResultsEqual(*seq, *idx);
     }
   }
 }
