@@ -12,7 +12,6 @@
 // the approximate tier's entire saving.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <future>
@@ -32,12 +31,6 @@
 namespace apuama {
 
 namespace {
-
-int64_t ApproxSteadyUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Uniform double in [0, 1) from a 64-bit hash (top 53 bits), the
 // standard exact-in-IEEE conversion — membership tests are then
@@ -364,20 +357,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
   // computed from a scramble older than the base table's last
   // committed write.
   approx::SampleEntry entry;
-  {
-    const int64_t barrier_t0 = (timed || tracing) ? ApproxSteadyUs() : 0;
-    obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
-    consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); });
-    const int64_t barrier_us =
-        (timed || tracing) ? ApproxSteadyUs() - barrier_t0 : 0;
-    if (timed) profile->barrier_wait_us = barrier_us;
-    if (tracing) {
-      obs::Registry::Global()
-          .GetHistogram("engine.barrier_wait_us",
-                        obs::Histogram::DefaultLatencyBoundsUs())
-          ->Observe(barrier_us);
-    }
-  }
+  EnterSvpBarrier(profile);
   {
     std::lock_guard<std::mutex> lock(sample_build_mu_);
     auto current = sample_catalog_.ForBase(spec.base_table);
@@ -462,9 +442,9 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
                                               "node.subquery", "node")
                       : obs::Span();
           if (span.active()) span.AddAttr("node", node);
-          const int64_t t0 = time_slot != nullptr ? ApproxSteadyUs() : 0;
+          const int64_t t0 = time_slot != nullptr ? SteadyUs() : 0;
           auto r = np->ExecuteSubquery(stmt);
-          if (time_slot != nullptr) *time_slot = ApproxSteadyUs() - t0;
+          if (time_slot != nullptr) *time_slot = SteadyUs() - t0;
           return r;
         }));
   }
@@ -561,15 +541,9 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
   const uint64_t skipped =
       static_cast<uint64_t>(futures.size() - merged);
 
-  CompositionStats cstats;
-  obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
-  Result<engine::QueryResult> stats_result = sink.Finish(&cstats);
-  compose_span.End();
+  Result<engine::QueryResult> stats_result =
+      FinishComposition(&sink, profile);
   APUAMA_RETURN_NOT_OK(stats_result.status());
-  if (timed) {
-    profile->compose_us = sink.compose_micros();
-    profile->partial_rows = cstats.partial_rows;
-  }
 
   // Finalize: scale the merged moments into estimates, attach the
   // per-group CLT (or bootstrap) intervals as trailing __ci columns,
@@ -669,8 +643,6 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
   }
   stats_.approx_subqueries_skipped.fetch_add(skipped,
                                              std::memory_order_relaxed);
-  stats_.partial_rows_total.fetch_add(cstats.partial_rows,
-                                      std::memory_order_relaxed);
   return out;
 }
 

@@ -19,14 +19,6 @@
 
 namespace apuama {
 
-namespace {
-int64_t SteadyUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
-
 std::vector<std::pair<std::string, uint64_t>> ApuamaStats::Kv() const {
   auto v = [](const std::atomic<uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
@@ -36,11 +28,9 @@ std::vector<std::pair<std::string, uint64_t>> ApuamaStats::Kv() const {
           {"writes", v(writes)},
           {"non_rewritable", v(non_rewritable)},
           {"partial_rows", v(partial_rows_total)},
-          {"compose_ms", v(compose_ms_total)},
+          {"compose_us", v(compose_us_total)},
           {"avp_chunks", v(avp_chunks)},
           {"avp_steals", v(avp_steals)},
-          {"compose_fastpath", v(compose_fastpath)},
-          {"compose_fallback", v(compose_fallback)},
           {"plan_cache_hits", v(plan_cache_hits)},
           {"plan_cache_misses", v(plan_cache_misses)},
           {"svp_retries", v(svp_retries)},
@@ -697,6 +687,51 @@ ApuamaEngine::ExecuteFragmentedPassthrough(int node_id,
   return result;
 }
 
+int64_t ApuamaEngine::SteadyUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void ApuamaEngine::EnterSvpBarrier(
+    SvpProfile* profile, const std::vector<std::string>& read_scope) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const bool tracing = tracer.enabled();
+  const bool timed = profile != nullptr;
+  const int64_t barrier_t0 = (timed || tracing) ? SteadyUs() : 0;
+  obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
+  consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); },
+                               read_scope);
+  const int64_t barrier_us = (timed || tracing) ? SteadyUs() - barrier_t0 : 0;
+  if (timed) profile->barrier_wait_us = barrier_us;
+  if (tracing) {
+    obs::Registry::Global()
+        .GetHistogram("engine.barrier_wait_us",
+                      obs::Histogram::DefaultLatencyBoundsUs())
+        ->Observe(barrier_us);
+  }
+}
+
+Result<engine::QueryResult> ApuamaEngine::FinishComposition(
+    StreamingComposition* sink, SvpProfile* profile) {
+  CompositionStats cstats;
+  obs::Span compose_span =
+      obs::Tracer::Global().StartSpan("engine.compose", "engine");
+  Result<engine::QueryResult> result = sink->Finish(&cstats);
+  compose_span.End();
+  if (profile != nullptr) {
+    profile->compose_us = static_cast<int64_t>(sink->compose_micros());
+    profile->partial_rows = cstats.partial_rows;
+  }
+  if (result.ok()) {
+    stats_.partial_rows_total.fetch_add(cstats.partial_rows,
+                                        std::memory_order_relaxed);
+    stats_.compose_us_total.fetch_add(sink->compose_micros(),
+                                      std::memory_order_relaxed);
+  }
+  return result;
+}
+
 Result<engine::QueryResult> ApuamaEngine::ExecuteSvp(
     const sql::SelectStmt& query) {
   APUAMA_ASSIGN_OR_RETURN(SvpPlan plan, rewriter_.Rewrite(query));
@@ -838,21 +873,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlanFragmented(
   // Scoped barrier, held through exchange planning: materialized
   // slices must snapshot the same committed state the local fragments
   // will serve when the sub-queries run.
-  {
-    const int64_t barrier_t0 = (timed || tracing) ? SteadyUs() : 0;
-    obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
-    consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); },
-                                 read_scope);
-    const int64_t barrier_us =
-        (timed || tracing) ? SteadyUs() - barrier_t0 : 0;
-    if (timed) profile->barrier_wait_us = barrier_us;
-    if (tracing) {
-      obs::Registry::Global()
-          .GetHistogram("engine.barrier_wait_us",
-                        obs::Histogram::DefaultLatencyBoundsUs())
-          ->Observe(barrier_us);
-    }
-  }
+  EnterSvpBarrier(profile, read_scope);
   auto assignments_or =
       ex.Prepare(kept_intervals, spec_ptrs, alive, preferred);
   if (!assignments_or.ok()) {
@@ -944,15 +965,9 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlanFragmented(
     }
   }
 
-  CompositionStats cstats;
-  obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
-  Result<engine::QueryResult> final_result = sink.Finish(&cstats);
-  compose_span.End();
-  if (timed) {
-    profile->compose_us = sink.compose_micros();
-    profile->partial_rows = cstats.partial_rows;
-    profile->exchange_bytes = ex.bytes_shipped();
-  }
+  Result<engine::QueryResult> final_result =
+      FinishComposition(&sink, profile);
+  if (timed) profile->exchange_bytes = ex.bytes_shipped();
   stats_.fragments_pruned.fetch_add(pruned, std::memory_order_relaxed);
   stats_.exchange_bytes.fetch_add(ex.bytes_shipped(),
                                   std::memory_order_relaxed);
@@ -962,13 +977,6 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlanFragmented(
                                        std::memory_order_relaxed);
   if (final_result.ok()) {
     stats_.svp_queries.fetch_add(1, std::memory_order_relaxed);
-    stats_.partial_rows_total.fetch_add(cstats.partial_rows,
-                                        std::memory_order_relaxed);
-    stats_.compose_ms_total.fetch_add(sink.compose_micros() / 1000,
-                                      std::memory_order_relaxed);
-    (cstats.used_fast_path ? stats_.compose_fastpath
-                           : stats_.compose_fallback)
-        .fetch_add(1, std::memory_order_relaxed);
   }
   return final_result;
 }
@@ -1021,20 +1029,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
   // mutually consistent, dispatch everything, then unblock (updates
   // may overlap sub-query *execution*, per the paper).
   std::vector<std::future<Result<engine::QueryResult>>> futures;
-  {
-    const int64_t barrier_t0 = (timed || tracing) ? SteadyUs() : 0;
-    obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
-    consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); });
-    const int64_t barrier_us =
-        (timed || tracing) ? SteadyUs() - barrier_t0 : 0;
-    if (timed) profile->barrier_wait_us = barrier_us;
-    if (tracing) {
-      obs::Registry::Global()
-          .GetHistogram("engine.barrier_wait_us",
-                        obs::Histogram::DefaultLatencyBoundsUs())
-          ->Observe(barrier_us);
-    }
-  }
+  EnterSvpBarrier(profile);
   for (int i = 0; i < n; ++i) {
     NodeProcessor* np = processors_[static_cast<size_t>(alive[i])].get();
     std::string stmt = sub_sql[static_cast<size_t>(i)];
@@ -1059,9 +1054,9 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
   }
   consistency_.EndSvpPrepare();  // all sub-queries dispatched
 
-  // Streaming merge: each partial folds into the per-query composer
-  // as its future completes, overlapping composition with the nodes
-  // still executing. No global composer lock anywhere.
+  // Streaming collection: each partial joins the per-query
+  // composition as its future completes. No global composer lock
+  // anywhere.
   StreamingComposition sink(plan.merge_program(), plan.composition_sql());
   Status first_error = Status::OK();
   std::vector<size_t> failed_intervals;
@@ -1085,23 +1080,10 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
         sub_sql, alive, std::move(failed_intervals), &sink));
   }
 
-  CompositionStats cstats;
-  obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
-  Result<engine::QueryResult> final_result = sink.Finish(&cstats);
-  compose_span.End();
-  if (timed) {
-    profile->compose_us = sink.compose_micros();
-    profile->partial_rows = cstats.partial_rows;
-  }
+  Result<engine::QueryResult> final_result =
+      FinishComposition(&sink, profile);
   if (final_result.ok()) {
     stats_.svp_queries.fetch_add(1, std::memory_order_relaxed);
-    stats_.partial_rows_total.fetch_add(cstats.partial_rows,
-                                        std::memory_order_relaxed);
-    stats_.compose_ms_total.fetch_add(sink.compose_micros() / 1000,
-                                      std::memory_order_relaxed);
-    (cstats.used_fast_path ? stats_.compose_fastpath
-                           : stats_.compose_fallback)
-        .fetch_add(1, std::memory_order_relaxed);
   }
   return final_result;
 }
@@ -1181,8 +1163,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteAvpPlan(
         if (first_error.ok()) first_error = r.status();
         return;
       }
-      // Merge this chunk now (fast path) instead of buffering it:
-      // composition overlaps the other workers' execution.
+      // Hand this chunk to the per-query composition as it lands.
       stats_.NoteNodeStats(r->stats);
       if (timed) profile->node_stats += r->stats;
       Status s = sink.Add(std::move(r).value());
@@ -1201,20 +1182,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteAvpPlan(
   // all of them are queued (each chunk then executes under statement
   // isolation, like SVP sub-queries).
   std::vector<std::future<void>> futures;
-  {
-    const int64_t barrier_t0 = (timed || tracing) ? SteadyUs() : 0;
-    obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
-    consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); });
-    const int64_t barrier_us =
-        (timed || tracing) ? SteadyUs() - barrier_t0 : 0;
-    if (timed) profile->barrier_wait_us = barrier_us;
-    if (tracing) {
-      obs::Registry::Global()
-          .GetHistogram("engine.barrier_wait_us",
-                        obs::Histogram::DefaultLatencyBoundsUs())
-          ->Observe(barrier_us);
-    }
-  }
+  EnterSvpBarrier(profile);
   for (int i = 0; i < n; ++i) {
     int64_t* time_slot =
         timed ? &profile->node_times_us[static_cast<size_t>(i)] : nullptr;
@@ -1228,28 +1196,15 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteAvpPlan(
   for (auto& f : futures) f.get();
   APUAMA_RETURN_NOT_OK(first_error);
 
-  CompositionStats cstats;
-  obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
-  Result<engine::QueryResult> final_result = sink.Finish(&cstats);
-  compose_span.End();
-  if (timed) {
-    profile->compose_us = sink.compose_micros();
-    profile->partial_rows = cstats.partial_rows;
-  }
+  Result<engine::QueryResult> final_result =
+      FinishComposition(&sink, profile);
   if (final_result.ok()) {
     stats_.svp_queries.fetch_add(1, std::memory_order_relaxed);
-    stats_.partial_rows_total.fetch_add(cstats.partial_rows,
-                                        std::memory_order_relaxed);
-    stats_.compose_ms_total.fetch_add(sink.compose_micros() / 1000,
-                                      std::memory_order_relaxed);
     stats_.avp_chunks.fetch_add(
         static_cast<uint64_t>(scheduler.chunks_issued()),
         std::memory_order_relaxed);
     stats_.avp_steals.fetch_add(static_cast<uint64_t>(scheduler.steals()),
                                 std::memory_order_relaxed);
-    (cstats.used_fast_path ? stats_.compose_fastpath
-                           : stats_.compose_fallback)
-        .fetch_add(1, std::memory_order_relaxed);
   }
   return final_result;
 }

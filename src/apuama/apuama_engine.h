@@ -96,11 +96,9 @@ struct ApuamaStats {
   std::atomic<uint64_t> writes{0};
   std::atomic<uint64_t> non_rewritable{0};     // fact queries SVP declined
   std::atomic<uint64_t> partial_rows_total{0};
-  std::atomic<uint64_t> compose_ms_total{0};   // wall time spent composing
+  std::atomic<uint64_t> compose_us_total{0};   // wall time spent composing
   std::atomic<uint64_t> avp_chunks{0};         // AVP: sub-queries issued
   std::atomic<uint64_t> avp_steals{0};         // AVP: ranges stolen
-  std::atomic<uint64_t> compose_fastpath{0};   // direct-merge compositions
-  std::atomic<uint64_t> compose_fallback{0};   // MemDb compositions
   std::atomic<uint64_t> plan_cache_hits{0};
   std::atomic<uint64_t> plan_cache_misses{0};
   std::atomic<uint64_t> svp_retries{0};        // failover resubmissions
@@ -363,6 +361,22 @@ class ApuamaEngine : public share::WorkSharingHooks {
                                              SvpProfile* profile = nullptr);
   Result<engine::QueryResult> ExecuteAvpPlan(SvpPlan plan,
                                              SvpProfile* profile = nullptr);
+
+  /// Enters the SVP consistency barrier (BeginSvpPrepare over
+  /// `read_scope`) under the engine.barrier span, recording the wait
+  /// in `profile` (when non-null) and, when tracing, in the
+  /// engine.barrier_wait_us histogram.
+  void EnterSvpBarrier(SvpProfile* profile,
+                       const std::vector<std::string>& read_scope = {});
+
+  /// Finishes one query's composition under the engine.compose span:
+  /// fills `profile`'s compose time and partial rows (when non-null)
+  /// and, on success, adds them to the cumulative counters.
+  Result<engine::QueryResult> FinishComposition(StreamingComposition* sink,
+                                                SvpProfile* profile);
+
+  /// Monotonic wall clock in microseconds (profile timings).
+  static int64_t SteadyUs();
 
   /// Resubmits failed intervals in parallel across the survivors,
   /// rotating to a different node when a retry target dies too.

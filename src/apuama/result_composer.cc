@@ -1,115 +1,83 @@
 #include "apuama/result_composer.h"
 
 #include <chrono>
+#include <iterator>
 #include <utility>
 
-#include "apuama/svp_rewriter.h"
-#include "memdb/memdb.h"
+#include "engine/executor.h"
+#include "sql/analyzer.h"
 #include "sql/parser.h"
 
 namespace apuama {
 
 namespace {
 
-Result<engine::QueryResult> MergeAll(
-    const std::vector<const engine::QueryResult*>& partials,
-    std::shared_ptr<const MergeProgram> program, CompositionStats* stats) {
-  PartialMerger merger(std::move(program));
-  for (const auto* p : partials) {
-    APUAMA_RETURN_NOT_OK(merger.Feed(*p));
-  }
-  return merger.Finish(stats);
+uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 }  // namespace
 
-Result<engine::QueryResult> ResultComposer::Compose(
-    const std::vector<const engine::QueryResult*>& partials,
-    const std::string& composition_sql, CompositionStats* stats) {
-  if (partials.empty()) {
-    return Status::InvalidArgument("no partial results to load");
-  }
-  auto parsed = sql::ParseSelect(composition_sql);
-  if (parsed.ok()) {
-    auto program = MergeProgram::Compile(std::move(parsed).value());
-    if (program.ok()) {
-      return MergeAll(partials, std::move(program).value(), stats);
-    }
-  }
-  return ComposeViaMemDb(partials, composition_sql, stats);
-}
-
-Result<engine::QueryResult> ResultComposer::ComposeWithPlan(
-    const std::vector<const engine::QueryResult*>& partials,
-    const SvpPlan& plan, CompositionStats* stats) {
-  if (partials.empty()) {
-    return Status::InvalidArgument("no partial results to load");
-  }
-  if (plan.merge_program() != nullptr) {
-    return MergeAll(partials, plan.merge_program(), stats);
-  }
-  return ComposeViaMemDb(partials, plan.composition_sql(), stats);
-}
-
-Result<engine::QueryResult> ResultComposer::ComposeViaMemDb(
-    const std::vector<const engine::QueryResult*>& partials,
-    const std::string& composition_sql, CompositionStats* stats) {
-  // A fresh MemDb per composition: no cross-query lock, and the
-  // partials table dies with it.
-  memdb::MemDb memdb;
-  APUAMA_RETURN_NOT_OK(memdb.LoadPartials(kPartialsTable, partials));
-  auto result = memdb.Execute(composition_sql);
-  if (stats != nullptr && result.ok()) {
-    stats->partial_rows = 0;
-    for (const auto* p : partials) stats->partial_rows += p->rows.size();
-    stats->output_rows = result->rows.size();
-    stats->used_fast_path = false;
-    stats->compose_exec = result->stats;
-  }
-  return result;
-}
-
 StreamingComposition::StreamingComposition(
-    std::shared_ptr<const MergeProgram> program, std::string fallback_sql)
-    : fallback_sql_(std::move(fallback_sql)) {
-  if (program != nullptr) merger_.emplace(std::move(program));
-}
+    std::shared_ptr<const sql::SelectStmt> composition,
+    std::string composition_sql)
+    : composition_(std::move(composition)),
+      composition_sql_(std::move(composition_sql)) {}
 
 Status StreamingComposition::Add(engine::QueryResult partial) {
+  const auto t0 = std::chrono::steady_clock::now();
   combined_ += partial.stats;
-  if (merger_.has_value()) {
-    auto t0 = std::chrono::steady_clock::now();
-    Status s = merger_->Feed(partial);
-    auto t1 = std::chrono::steady_clock::now();
-    compose_micros_ += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count());
-    return s;
+  const auto& names = partial.column_names;
+  if (!has_layout_) {
+    has_layout_ = true;
+    for (const std::string& name : names) {
+      partials_.columns.push_back(engine::ColumnBinding{"", name});
+    }
+  } else if (names.size() != partials_.columns.size()) {
+    return Status::InvalidArgument("partial results disagree on column count");
   }
-  buffered_.push_back(std::move(partial));
+  partials_.rows.insert(partials_.rows.end(),
+                        std::make_move_iterator(partial.rows.begin()),
+                        std::make_move_iterator(partial.rows.end()));
+  compose_micros_ += MicrosSince(t0);
   return Status::OK();
+}
+
+Result<engine::QueryResult> StreamingComposition::Compose(
+    engine::ExecStats* exec_stats) {
+  if (!has_layout_) {
+    return Status::InvalidArgument("no partial results to compose");
+  }
+  if (composition_ == nullptr) {
+    APUAMA_ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> parsed,
+                            sql::ParseSelect(composition_sql_));
+    sql::FoldConstants(parsed.get());
+    composition_ = std::move(parsed);
+  }
+  return engine::Executor::ExecuteOverRelation(
+      *composition_, std::move(partials_), exec_stats);
 }
 
 Result<engine::QueryResult> StreamingComposition::Finish(
     CompositionStats* stats) {
-  auto t0 = std::chrono::steady_clock::now();
-  Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
-    if (merger_.has_value()) return merger_->Finish(stats);
-    std::vector<const engine::QueryResult*> ptrs;
-    ptrs.reserve(buffered_.size());
-    for (const auto& p : buffered_) ptrs.push_back(&p);
-    ResultComposer composer;
-    return composer.ComposeViaMemDb(ptrs, fallback_sql_, stats);
-  }();
-  auto t1 = std::chrono::steady_clock::now();
-  compose_micros_ += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
-  if (result.ok()) {
-    engine::ExecStats out = combined_;
-    if (stats != nullptr) out.cpu_ops += stats->compose_exec.cpu_ops;
-    out.tuples_output = result->rows.size();
-    result->stats = out;
+  const auto t0 = std::chrono::steady_clock::now();
+  const uint64_t partial_rows = partials_.rows.size();
+  engine::ExecStats exec_stats;
+  Result<engine::QueryResult> result = Compose(&exec_stats);
+  compose_micros_ += MicrosSince(t0);
+  if (!result.ok()) return result;
+  if (stats != nullptr) {
+    stats->partial_rows = partial_rows;
+    stats->output_rows = result->rows.size();
+    stats->compose_exec = exec_stats;
   }
+  engine::ExecStats out = combined_;
+  out.cpu_ops += exec_stats.cpu_ops;
+  out.tuples_output = result->rows.size();
+  result->stats = out;
   return result;
 }
 

@@ -1,83 +1,71 @@
 // Result Composer (paper Fig. 1(b)): merges SVP partial results.
 //
-// Two-tier pipeline. Tier 1 is the direct-merge fast path: pure
-// re-aggregation compositions run through a compiled MergeProgram
-// (apuama/partial_merger.h) — an in-memory hash merge on the group
-// key with no table build and no SQL round-trip. Tier 2 is the
-// general path: partials are loaded into a fresh in-memory database
-// (memdb, the HSQLDB stand-in) as the `partials` table and the
-// composition SQL runs there — still needed for HAVING, DISTINCT and
-// plain row-union compositions.
+// The paper runs a composition query over the partial results in an
+// embedded in-memory DBMS (HSQLDB). Here the partial rows of one query
+// are buffered into a single engine::Relation as node futures complete,
+// and the composition SELECT (over the `partials` table) runs on the
+// executor's own aggregate / projection tail
+// (engine::Executor::ExecuteOverRelation): re-aggregation, HAVING,
+// DISTINCT, global ORDER BY, OFFSET and LIMIT keep the engine's
+// semantics by construction, with no table build and no SQL
+// round-trip.
 //
-// ResultComposer is stateless: every composition gets its own MemDb,
-// so N concurrent queries compose on N cores with no shared lock.
+// Every composition is per-query state, so N concurrent queries
+// compose on N cores with no shared lock.
 #ifndef APUAMA_APUAMA_RESULT_COMPOSER_H_
 #define APUAMA_APUAMA_RESULT_COMPOSER_H_
 
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "apuama/partial_merger.h"
 #include "common/status.h"
+#include "engine/eval.h"
 #include "engine/query_result.h"
+#include "sql/ast.h"
 
 namespace apuama {
 
-class SvpPlan;
-
-class ResultComposer {
- public:
-  /// Composes `partials` with `composition_sql`. Tries to compile the
-  /// SQL into a direct-merge program first; falls back to MemDb.
-  /// Thread-safe (no shared state across calls).
-  Result<engine::QueryResult> Compose(
-      const std::vector<const engine::QueryResult*>& partials,
-      const std::string& composition_sql, CompositionStats* stats);
-
-  /// Composes with a rewritten plan: uses its pre-compiled merge
-  /// program when present (no per-composition parse), else MemDb.
-  Result<engine::QueryResult> ComposeWithPlan(
-      const std::vector<const engine::QueryResult*>& partials,
-      const SvpPlan& plan, CompositionStats* stats);
-
-  /// The general path, forced: loads partials into a per-call MemDb
-  /// and executes the composition SQL (benchmarks compare this
-  /// against the fast path; HAVING et al. land here).
-  Result<engine::QueryResult> ComposeViaMemDb(
-      const std::vector<const engine::QueryResult*>& partials,
-      const std::string& composition_sql, CompositionStats* stats);
+struct CompositionStats {
+  uint64_t partial_rows = 0;       // rows buffered from all nodes
+  uint64_t output_rows = 0;
+  engine::ExecStats compose_exec;  // cost of the composition statement
 };
 
 /// Per-query streaming composition: partials are fed in as node
-/// futures complete. With a merge program each partial folds straight
-/// into the merge state and is dropped (peak memory is one merge
-/// table, and composition overlaps node execution); without one,
-/// partials buffer for the MemDb fallback. Not thread-safe — the
-/// engine serializes Add under its per-query collection path.
+/// futures complete, and their rows append to one buffered relation.
+/// Not thread-safe — the engine serializes Add under its per-query
+/// collection path.
 class StreamingComposition {
  public:
-  StreamingComposition(std::shared_ptr<const MergeProgram> program,
-                       std::string fallback_sql);
+  /// `composition` is the composition SELECT over the partials table
+  /// (SvpPlan::merge_program()). When it is null, `composition_sql`
+  /// is parsed and constant-folded at Finish instead.
+  StreamingComposition(std::shared_ptr<const sql::SelectStmt> composition,
+                       std::string composition_sql);
 
-  /// Accepts one node's partial result.
+  /// Accepts one node's partial result. The first partial fixes the
+  /// column layout; a later one with another column count is
+  /// InvalidArgument.
   Status Add(engine::QueryResult partial);
 
-  /// Produces the final result with combined per-node ExecStats plus
-  /// composition cost folded in. Call once, after every Add.
+  /// Runs the composition over every buffered row and returns the
+  /// final result with the combined per-node ExecStats plus the
+  /// composition's cpu_ops. `stats` (may be null) receives the
+  /// composition's own figures. Call once, after every Add.
   Result<engine::QueryResult> Finish(CompositionStats* stats);
 
-  /// Wall time spent merging/composing so far, in microseconds.
+  /// Wall time spent buffering and composing so far, in microseconds.
   uint64_t compose_micros() const { return compose_micros_; }
 
-  bool fast_path() const { return merger_.has_value(); }
-
  private:
-  std::optional<PartialMerger> merger_;  // fast path when engaged
-  std::string fallback_sql_;
-  std::vector<engine::QueryResult> buffered_;  // fallback only
-  engine::ExecStats combined_;  // accumulated per-node stats
+  Result<engine::QueryResult> Compose(engine::ExecStats* exec_stats);
+
+  std::shared_ptr<const sql::SelectStmt> composition_;
+  std::string composition_sql_;
+  bool has_layout_ = false;      // set by the first Add
+  engine::Relation partials_;    // every partial row, in arrival order
+  engine::ExecStats combined_;   // accumulated per-node stats
   uint64_t compose_micros_ = 0;
 };
 

@@ -12,8 +12,8 @@
 //      `vpa >= :lo AND vpa < :hi` range predicates on every
 //      constrained fact reference (including inside correlated
 //      subqueries — the derived-partitioning trick);
-//   3. produces the composition SQL that the Result Composer runs
-//      over the in-memory `partials` table: re-aggregation
+//   3. produces the composition query that the Result Composer runs
+//      over the buffered `partials` rows: re-aggregation
 //      (sum of sums, sum of counts, min of mins, guarded
 //      sum/count for avg), HAVING, global ORDER BY and LIMIT.
 //
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "apuama/data_catalog.h"
-#include "apuama/partial_merger.h"
 #include "common/status.h"
 #include "sql/ast.h"
 
@@ -71,16 +70,17 @@ class SvpPlan {
   /// Composition query text (over kPartialsTable).
   const std::string& composition_sql() const { return composition_sql_; }
 
-  /// Compiled direct-merge program for the composition, or null when
-  /// the composition needs the general MemDb path (HAVING, plain row
-  /// unions, ...). Immutable and shared across plan clones.
-  const std::shared_ptr<const MergeProgram>& merge_program() const {
-    return merge_;
+  /// The composition as a constant-folded statement, never null on a
+  /// rewritten plan: StreamingComposition runs it over the buffered
+  /// partial rows without re-parsing composition_sql(). Immutable and
+  /// shared across plan clones.
+  const std::shared_ptr<const sql::SelectStmt>& merge_program() const {
+    return composition_;
   }
 
   /// Deep-copies the plan so a cached prototype can be rendered
   /// concurrently (SubquerySql mutates template literals in place).
-  /// The compiled merge program is shared, not copied.
+  /// The composition statement is shared, not copied.
   SvpPlan Clone() const;
 
   int64_t domain_min() const { return domain_min_; }
@@ -120,7 +120,7 @@ class SvpPlan {
   std::unique_ptr<sql::SelectStmt> template_;
   std::vector<Patch> patches_;
   std::string composition_sql_;
-  std::shared_ptr<const MergeProgram> merge_;
+  std::shared_ptr<const sql::SelectStmt> composition_;
   int64_t domain_min_ = 0;
   int64_t domain_max_ = 0;
   int64_t pred_min_ = 0;

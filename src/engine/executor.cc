@@ -324,6 +324,21 @@ bool StmtHasSubquery(const SelectStmt& s) {
   return false;
 }
 
+// True when `stmt` groups or aggregates: such a SELECT runs the
+// aggregate tail (AggregateAndProject or a morsel pipeline), any
+// other the plain projection.
+bool StmtHasAggregation(const SelectStmt& stmt) {
+  if (!stmt.group_by.empty()) return true;
+  for (const auto& it : stmt.items) {
+    if (it.expr && sql::ContainsAggregate(*it.expr)) return true;
+  }
+  if (stmt.having && sql::ContainsAggregate(*stmt.having)) return true;
+  for (const auto& o : stmt.order_by) {
+    if (sql::ContainsAggregate(*o.expr)) return true;
+  }
+  return false;
+}
+
 // Rows per intra-node scan morsel. The decomposition is page-aligned
 // (Table::Morsels) and depends only on table contents, never on the
 // thread count.
@@ -1459,15 +1474,7 @@ Result<bool> Executor::SubqueryContains(const SelectStmt& sub,
 
 Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
                                             const EvalScope* outer) {
-  bool has_agg = !stmt.group_by.empty();
-  for (const auto& it : stmt.items) {
-    if (it.expr && sql::ContainsAggregate(*it.expr)) has_agg = true;
-  }
-  if (stmt.having && sql::ContainsAggregate(*stmt.having)) has_agg = true;
-  for (const auto& o : stmt.order_by) {
-    if (sql::ContainsAggregate(*o.expr)) has_agg = true;
-  }
-
+  const bool has_agg = StmtHasAggregation(stmt);
   Result<QueryResult> result = QueryResult{};
   bool done = false;
   if (has_agg && MorselEligible(stmt, outer)) {
@@ -1495,6 +1502,37 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
     result->stats = *stats_;
     result->stats.tuples_output = result->rows.size();
     stats_->tuples_output = result->rows.size();
+  }
+  return result;
+}
+
+Result<QueryResult> Executor::ExecuteOverRelation(const SelectStmt& stmt,
+                                                  Relation rel,
+                                                  ExecStats* stats) {
+  // FROM and WHERE never run here: refuse what they would have done
+  // rather than answer as if it were absent.
+  if (stmt.from.size() != 1) {
+    return Status::InvalidArgument(
+        "a statement over a relation needs exactly one FROM entry");
+  }
+  if (stmt.where != nullptr) {
+    return Status::InvalidArgument(
+        "a statement over a relation cannot have a WHERE clause");
+  }
+  if (StmtHasSubquery(stmt)) {
+    return Status::InvalidArgument(
+        "a statement over a relation cannot contain subqueries");
+  }
+  const std::string qualifier = ToLower(stmt.from[0].binding());
+  for (ColumnBinding& cb : rel.columns) cb.qualifier = qualifier;
+  Executor exec(/*db=*/nullptr, stats);
+  Result<QueryResult> result =
+      StmtHasAggregation(stmt)
+          ? exec.AggregateAndProject(stmt, std::move(rel), nullptr)
+          : exec.ProjectOnly(stmt, std::move(rel), nullptr);
+  if (result.ok()) {
+    stats->tuples_output = result->rows.size();
+    result->stats = *stats;
   }
   return result;
 }
@@ -2699,22 +2737,6 @@ Executor::ScanMorsels Executor::TouchAndMorselize(const storage::Table& t,
 // ---------------------------------------------------------------------------
 // Inter-query shared morsel scans
 // ---------------------------------------------------------------------------
-
-namespace {
-// Same aggregation test ExecuteSelect applies before choosing a
-// pipeline; the shared scan only handles aggregate consumers.
-bool StmtHasAggregation(const SelectStmt& stmt) {
-  if (!stmt.group_by.empty()) return true;
-  for (const auto& it : stmt.items) {
-    if (it.expr && sql::ContainsAggregate(*it.expr)) return true;
-  }
-  if (stmt.having && sql::ContainsAggregate(*stmt.having)) return true;
-  for (const auto& o : stmt.order_by) {
-    if (sql::ContainsAggregate(*o.expr)) return true;
-  }
-  return false;
-}
-}  // namespace
 
 std::optional<std::vector<Result<QueryResult>>>
 Executor::ExecuteSharedAggregates(

@@ -54,6 +54,18 @@ class Executor {
   Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
                                     const EvalScope* outer = nullptr);
 
+  /// Runs `stmt`'s aggregate / projection tail (grouping, HAVING,
+  /// DISTINCT, ORDER BY ordinals and aliases, OFFSET, LIMIT) over
+  /// `rel`, which stands in for the statement's single FROM entry:
+  /// its columns take that entry's binding as qualifier. Needs no
+  /// Database; the SVP result composer runs composition statements
+  /// over the buffered partial rows through it. FROM/WHERE execution
+  /// is skipped, so a WHERE clause, other than one FROM entry, or any
+  /// subquery is InvalidArgument instead of being silently ignored.
+  static Result<QueryResult> ExecuteOverRelation(const sql::SelectStmt& stmt,
+                                                 Relation rel,
+                                                 ExecStats* stats);
+
   /// Evaluates a scalar subquery: NULL on zero rows, its single value
   /// on one row, error on multiple rows or multiple columns.
   Result<Value> ScalarSubqueryValue(const sql::SelectStmt& sub,

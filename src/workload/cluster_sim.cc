@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "apuama/result_composer.h"
 #include "apuama/share/query_fingerprint.h"
 #include "common/string_util.h"
 #include "engine/database.h"
@@ -709,12 +710,16 @@ void ClusterSim::ComposeAndFinish(std::shared_ptr<SvpTicket> ticket) {
     if (ticket->finish) ticket->finish(ticket->outcome, nullptr);
     return;
   }
-  std::vector<const QueryResult*> ptrs;
-  ptrs.reserve(ticket->partials.size());
-  for (const auto& p : ticket->partials) ptrs.push_back(&p);
+  StreamingComposition sink(ticket->plan.merge_program(),
+                            ticket->plan.composition_sql());
+  Status added = Status::OK();
+  for (auto& p : ticket->partials) {
+    if (added.ok()) added = sink.Add(std::move(p));
+  }
+  ticket->partials.clear();
   CompositionStats cstats;
   auto final_result = std::make_shared<Result<QueryResult>>(
-      composer_.ComposeWithPlan(ptrs, ticket->plan, &cstats));
+      added.ok() ? sink.Finish(&cstats) : Result<QueryResult>(added));
   ticket->outcome.status = final_result->status();
   SimTime compose_time =
       final_result->ok()

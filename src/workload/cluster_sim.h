@@ -32,7 +32,6 @@
 
 #include "apuama/admission/admission.h"
 #include "apuama/avp.h"
-#include "apuama/result_composer.h"
 #include "apuama/share/result_cache.h"
 #include "apuama/svp_rewriter.h"
 #include "cjdbc/load_balancer.h"
@@ -314,7 +313,6 @@ class ClusterSim {
   std::vector<std::unique_ptr<sim::SimServer>> servers_;
   DataCatalog catalog_;
   std::unique_ptr<SvpRewriter> rewriter_;
-  ResultComposer composer_;
   cjdbc::LoadBalancer balancer_;
   std::unique_ptr<admission::AdmissionController> admission_;
 

@@ -1,7 +1,8 @@
-// The two-tier composition pipeline: direct-merge fast path
-// (MergeProgram + PartialMerger) vs the MemDb fallback, streaming
-// composition under heavy client concurrency, the plan cache, and
-// MemDb partial-type inference.
+// Result composition: the single composer (StreamingComposition over
+// the executor's aggregate / projection tail) on hand-built partials,
+// its input validation, SVP/AVP equivalence for plain and DISTINCT
+// compositions, streaming composition under heavy client concurrency,
+// and the plan cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,12 +10,11 @@
 #include <vector>
 
 #include "apuama/apuama_engine.h"
-#include "apuama/partial_merger.h"
 #include "apuama/plan_cache.h"
 #include "apuama/result_composer.h"
 #include "apuama/svp_rewriter.h"
 #include "cjdbc/controller.h"
-#include "memdb/memdb.h"
+#include "engine/executor.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
@@ -41,28 +41,63 @@ engine::QueryResult MakePartial(std::vector<std::string> names,
   return r;
 }
 
-std::vector<const engine::QueryResult*> Ptrs(
-    const std::vector<engine::QueryResult>& partials) {
-  std::vector<const engine::QueryResult*> ptrs;
-  for (const auto& p : partials) ptrs.push_back(&p);
-  return ptrs;
+// Feeds `partials` in order to one composition of `sql` (parsed from
+// text, as a caller without a rewritten plan does) and finishes it.
+Result<engine::QueryResult> Compose(
+    std::vector<engine::QueryResult> partials, const std::string& sql,
+    CompositionStats* stats = nullptr) {
+  StreamingComposition sink(nullptr, sql);
+  for (auto& p : partials) APUAMA_RETURN_NOT_OK(sink.Add(std::move(p)));
+  return sink.Finish(stats);
 }
 
-// Both tiers must reject an empty partial set the same way.
-TEST(PartialMergerTest, EmptyPartialsRejected) {
-  ResultComposer composer;
-  CompositionStats stats;
-  auto r = composer.Compose({}, "select sum(a0) from partials", &stats);
+void ExpectRows(const engine::QueryResult& r, const std::vector<Row>& rows) {
+  engine::QueryResult expected;
+  expected.column_names = r.column_names;
+  expected.rows = rows;
+  testutil::ExpectResultsIdentical(expected, r);
+}
+
+TEST(ComposeTest, EmptyPartialsRejected) {
+  auto r = Compose({}, "select sum(a0) from partials");
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  auto m = composer.ComposeViaMemDb({}, "select sum(a0) from partials",
-                                    &stats);
-  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ComposeTest, ColumnCountMismatchRejected) {
+  std::vector<engine::QueryResult> partials;
+  partials.push_back(MakePartial({"a"}, {}));
+  partials.push_back(MakePartial({"a", "b"}, {}));
+  auto r = Compose(std::move(partials), "select a from partials");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ComposeTest, GroupedSumAcrossPartials) {
+  std::vector<engine::QueryResult> partials;
+  partials.push_back(MakePartial(
+      {"g0", "a0"},
+      {{Value::Str("A"), Value::Int(10)}, {Value::Str("B"), Value::Int(5)}}));
+  partials.push_back(
+      MakePartial({"g0", "a0"}, {{Value::Str("A"), Value::Int(7)}}));
+  CompositionStats stats;
+  auto r = Compose(
+      std::move(partials),
+      "select g0, sum(a0) as total from partials group by g0 order by g0",
+      &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->column_names, (std::vector<std::string>{"g0", "total"}));
+  ExpectRows(*r, {{Value::Str("A"), Value::Int(17)},
+                  {Value::Str("B"), Value::Int(5)}});
+  EXPECT_EQ(stats.partial_rows, 3u);
+  EXPECT_EQ(stats.output_rows, 2u);
+  EXPECT_GT(stats.compose_exec.cpu_ops, 0u);
+  // The composition's own work is charged into the result.
+  EXPECT_EQ(r->stats.cpu_ops, stats.compose_exec.cpu_ops);
 }
 
 // A node whose key range matched nothing returns one all-NULL row for
-// an ungrouped aggregate; merged output must skip the NULLs, and an
+// an ungrouped aggregate; the composition must skip the NULLs, and an
 // all-NULL column overall must stay NULL.
-TEST(PartialMergerTest, AllNullPartialsYieldNull) {
+TEST(ComposeTest, AllNullPartialsYieldNull) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial({"a0", "a1"},
                                  {{Value::Null(), Value::Null()}}));
@@ -70,30 +105,30 @@ TEST(PartialMergerTest, AllNullPartialsYieldNull) {
                                  {{Value::Int(7), Value::Null()}}));
   partials.push_back(MakePartial({"a0", "a1"},
                                  {{Value::Null(), Value::Null()}}));
-  ResultComposer composer;
-  CompositionStats stats;
-  auto r = composer.Compose(
-      Ptrs(partials), "select sum(a0) as s, min(a1) as m from partials",
-      &stats);
+  auto r = Compose(std::move(partials),
+                   "select sum(a0) as s, min(a1) as m from partials");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(stats.used_fast_path);
-  ASSERT_EQ(r->rows.size(), 1u);
-  EXPECT_EQ(r->rows[0][0].int_val(), 7);
-  EXPECT_TRUE(r->rows[0][1].is_null());
-  // The MemDb tier agrees.
-  CompositionStats mstats;
-  auto m = composer.ComposeViaMemDb(
-      Ptrs(partials), "select sum(a0) as s, min(a1) as m from partials",
-      &mstats);
-  ASSERT_TRUE(m.ok());
-  EXPECT_FALSE(mstats.used_fast_path);
-  testutil::ExpectResultsEqual(*m, *r);
+  ExpectRows(*r, {{Value::Int(7), Value::Null()}});
+}
+
+// An all-NULL first partial must not decide how a later partial's
+// values are read.
+TEST(ComposeTest, AllNullFirstPartialComposes) {
+  std::vector<engine::QueryResult> partials;
+  partials.push_back(MakePartial({"a0", "g0"},
+                                 {{Value::Null(), Value::Null()}}));
+  partials.push_back(MakePartial(
+      {"a0", "g0"}, {{Value::Double(1.5), Value::Str("x")}}));
+  auto r = Compose(std::move(partials),
+                   "select sum(a0), min(g0) from partials");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectRows(*r, {{Value::Double(1.5), Value::Str("x")}});
 }
 
 // AVG arrives split into sum+count partial columns with the rewriter's
 // CASE-guarded quotient; the merged quotient must equal the true mean
 // and guard against zero-count groups.
-TEST(PartialMergerTest, AvgRecombination) {
+TEST(ComposeTest, AvgRecombination) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial(
       {"g0", "a0s", "a0c"},
@@ -103,27 +138,18 @@ TEST(PartialMergerTest, AvgRecombination) {
       {"g0", "a0s", "a0c"},
       {{Value::Str("x"), Value::Double(2.0), Value::Int(2)},
        {Value::Str("y"), Value::Null(), Value::Int(0)}}));
-  const std::string comp =
-      "select g0, case when sum(a0c) = 0 then null "
-      "else sum(a0s) / sum(a0c) end as a from partials "
-      "group by g0 order by g0";
-  ResultComposer composer;
-  CompositionStats stats;
-  auto r = composer.Compose(Ptrs(partials), comp, &stats);
+  auto r = Compose(std::move(partials),
+                   "select g0, case when sum(a0c) = 0 then null "
+                   "else sum(a0s) / sum(a0c) end as a from partials "
+                   "group by g0 order by g0");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(stats.used_fast_path);
-  ASSERT_EQ(r->rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(r->rows[0][1].double_val(), 2.0);  // 12 / 6
-  EXPECT_TRUE(r->rows[1][1].is_null());               // zero-count group
-  CompositionStats mstats;
-  auto m = composer.ComposeViaMemDb(Ptrs(partials), comp, &mstats);
-  ASSERT_TRUE(m.ok());
-  testutil::ExpectResultsEqual(*m, *r);
+  ExpectRows(*r, {{Value::Str("x"), Value::Double(2.0)},  // 12 / 6
+                  {Value::Str("y"), Value::Null()}});     // zero count
 }
 
 // Global ORDER BY (desc, with ties broken by the group key), OFFSET
 // and LIMIT applied after the merge.
-TEST(PartialMergerTest, OrderByLimitOffset) {
+TEST(ComposeTest, OrderByLimitOffset) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial(
       {"g0", "a0"},
@@ -132,83 +158,191 @@ TEST(PartialMergerTest, OrderByLimitOffset) {
       {"g0", "a0"},
       {{Value::Int(3), Value::Int(9)}, {Value::Int(4), Value::Int(1)},
        {Value::Int(1), Value::Int(4)}}));
-  const std::string comp =
-      "select g0, sum(a0) as s from partials group by g0 "
-      "order by s desc, g0 limit 2 offset 1";
-  ResultComposer composer;
-  CompositionStats stats;
-  auto r = composer.Compose(Ptrs(partials), comp, &stats);
+  auto r = Compose(std::move(partials),
+                   "select g0, sum(a0) as s from partials group by g0 "
+                   "order by s desc, g0 limit 2 offset 1");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(stats.used_fast_path);
   // Sums: g0=1 -> 9, 2 -> 9, 3 -> 9, 4 -> 1. Desc by s then g0 asc:
   // (1,9),(2,9),(3,9),(4,1); offset 1 limit 2 -> (2,9),(3,9).
-  ASSERT_EQ(r->rows.size(), 2u);
-  EXPECT_EQ(r->rows[0][0].int_val(), 2);
-  EXPECT_EQ(r->rows[1][0].int_val(), 3);
-  CompositionStats mstats;
-  auto m = composer.ComposeViaMemDb(Ptrs(partials), comp, &mstats);
-  ASSERT_TRUE(m.ok());
-  testutil::ExpectResultsEqual(*m, *r);
+  ExpectRows(*r, {{Value::Int(2), Value::Int(9)},
+                  {Value::Int(3), Value::Int(9)}});
 }
 
 // Integer sums must stay integers until a double appears anywhere in
-// the column (mirrors the executor's promotion rule).
-TEST(PartialMergerTest, IntegerSumsStayIntegers) {
+// the column (the executor's promotion rule).
+TEST(ComposeTest, IntegerSumsStayIntegers) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(
       MakePartial({"a0", "a1"}, {{Value::Int(3), Value::Int(3)}}));
   partials.push_back(
       MakePartial({"a0", "a1"}, {{Value::Int(4), Value::Double(0.5)}}));
-  ResultComposer composer;
-  CompositionStats stats;
-  auto r = composer.Compose(
-      Ptrs(partials), "select sum(a0) as s, sum(a1) as t from partials",
-      &stats);
+  auto r = Compose(std::move(partials),
+                   "select sum(a0) as s, sum(a1) as t from partials");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(stats.used_fast_path);
-  EXPECT_EQ(r->rows[0][0].type(), ValueType::kInt64);
-  EXPECT_EQ(r->rows[0][0].int_val(), 7);
-  EXPECT_EQ(r->rows[0][1].type(), ValueType::kDouble);
-  EXPECT_DOUBLE_EQ(r->rows[0][1].double_val(), 3.5);
+  ExpectRows(*r, {{Value::Int(7), Value::Double(3.5)}});
 }
 
-// Compositions the program cannot prove equivalent must fall back to
-// MemDb — and still answer.
-TEST(PartialMergerTest, UnsupportedShapesFallBackToMemDb) {
+// One node's sum stayed integral, another's went double: both fold.
+TEST(ComposeTest, MixedIntAndDoubleSum) {
+  std::vector<engine::QueryResult> partials;
+  partials.push_back(MakePartial({"a0"}, {{Value::Int(2)}}));
+  partials.push_back(MakePartial({"a0"}, {{Value::Double(0.5)}}));
+  auto r = Compose(std::move(partials), "select sum(a0) from partials");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectRows(*r, {{Value::Double(2.5)}});
+}
+
+// A plain row union keeps every value as the nodes produced it, so a
+// column mixing numbers, strings and dates composes as it would on a
+// single node.
+TEST(ComposeTest, MixedTypeColumnsCompose) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial(
-      {"g0", "a0"},
-      {{Value::Int(1), Value::Int(5)}, {Value::Int(2), Value::Int(1)}}));
-  partials.push_back(
-      MakePartial({"g0", "a0"}, {{Value::Int(1), Value::Int(2)}}));
-  ResultComposer composer;
-  const std::vector<std::string> general = {
-      // HAVING: global filter over merged aggregates.
-      "select g0, sum(a0) as s from partials group by g0 "
-      "having sum(a0) > 3",
-      // DISTINCT.
-      "select distinct g0 from partials",
-      // Plain row union (no aggregates at all).
-      "select g0, a0 from partials order by g0, a0",
-      // Non-decomposable merge function.
-      "select count(distinct g0) from partials",
+      {"p0", "p1"}, {{Value::Int(1), Value::Int(7)},
+                     {Value::Int(3), Value::Str("x")}}));
+  partials.push_back(MakePartial(
+      {"p0", "p1"}, {{Value::Int(2), Value::Str("oops")},
+                     {Value::Int(4), Value::Date(10)}}));
+  auto r = Compose(std::move(partials),
+                   "select p0 as k, p1 as v from partials order by k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectRows(*r, {{Value::Int(1), Value::Int(7)},
+                  {Value::Int(2), Value::Str("oops")},
+                  {Value::Int(3), Value::Str("x")},
+                  {Value::Int(4), Value::Date(10)}});
+}
+
+// HAVING, DISTINCT, plain row unions and non-decomposable merge
+// functions run on the same executor tail as re-aggregations.
+TEST(ComposeTest, HavingDistinctRowUnionAndCountDistinct) {
+  auto partials = [] {
+    std::vector<engine::QueryResult> p;
+    p.push_back(MakePartial(
+        {"g0", "a0"},
+        {{Value::Int(1), Value::Int(5)}, {Value::Int(2), Value::Int(1)}}));
+    p.push_back(MakePartial({"g0", "a0"}, {{Value::Int(1), Value::Int(2)}}));
+    return p;
   };
-  for (const auto& comp : general) {
-    SCOPED_TRACE(comp);
-    CompositionStats stats;
-    auto r = composer.Compose(Ptrs(partials), comp, &stats);
+  struct Case {
+    std::string sql;
+    std::vector<Row> rows;
+  };
+  const std::vector<Case> cases = {
+      // HAVING: global filter over merged aggregates.
+      {"select g0, sum(a0) as s from partials group by g0 "
+       "having sum(a0) > 3",
+       {{Value::Int(1), Value::Int(7)}}},
+      // DISTINCT keeps first occurrences in arrival order.
+      {"select distinct g0 from partials", {{Value::Int(1)}, {Value::Int(2)}}},
+      // Plain row union (no aggregates at all).
+      {"select g0, a0 from partials order by g0, a0",
+       {{Value::Int(1), Value::Int(2)},
+        {Value::Int(1), Value::Int(5)},
+        {Value::Int(2), Value::Int(1)}}},
+      // Non-decomposable merge function.
+      {"select count(distinct g0) from partials", {{Value::Int(2)}}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.sql);
+    auto r = Compose(partials(), c.sql);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_FALSE(stats.used_fast_path);
-    CompositionStats mstats;
-    auto m = composer.ComposeViaMemDb(Ptrs(partials), comp, &mstats);
-    ASSERT_TRUE(m.ok());
-    testutil::ExpectResultsEqual(*m, *r);
+    ExpectRows(*r, c.rows);
   }
 }
 
-// The acceptance bar for the fast path: every composition the SVP
-// rewriter emits for the paper's TPC-H set (and the extended set)
-// compiles into a merge program — zero MemDb fallbacks end to end.
+// The relation entry point skips FROM and WHERE execution, so what
+// they would have done is refused instead of silently ignored.
+TEST(ComposeTest, StatementsTheTailCannotRunAreRejected) {
+  for (const std::string sql : {
+           "select g0 from partials where g0 > 1",
+           "select g0 from partials, other",
+           "select g0 from partials where exists (select 1 from other)",
+           "select (select max(x) from other) from partials",
+       }) {
+    SCOPED_TRACE(sql);
+    auto stmt = sql::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    engine::Relation rel;
+    rel.columns.push_back(engine::ColumnBinding{"", "g0"});
+    rel.rows.push_back({Value::Int(1)});
+    engine::ExecStats stats;
+    auto r = engine::Executor::ExecuteOverRelation(**stmt, std::move(rel),
+                                                   &stats);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    // The composer surfaces the same refusal.
+    auto c = Compose({MakePartial({"g0"}, {{Value::Int(1)}})}, sql);
+    EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Plain and DISTINCT compositions through the real SVP and AVP paths:
+// a column holding both numbers and strings, and DISTINCT with and
+// without a global ORDER BY, equal the single-node answer.
+TEST(CompositionEquivalenceTest, MixedTypeAndDistinctCompositions) {
+  engine::Database reference(
+      engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(SharedData().LoadInto(&reference).ok());
+  cjdbc::ReplicaSet replicas(
+      3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(SharedData().LoadIntoReplicas(&replicas).ok());
+  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(SharedData()));
+
+  struct Case {
+    std::string sql;
+    bool ordered;  // a total global order: results compare row by row
+  };
+  const std::vector<Case> cases = {
+      {"select l_orderkey as k, l_linenumber as n, "
+       "case when l_quantity > 25 then 'big' else 0 end as c "
+       "from lineitem where l_orderkey < 200 order by k, n",
+       true},
+      {"select distinct l_shipmode as m from lineitem order by m", true},
+      {"select distinct l_returnflag, l_linestatus from lineitem", false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.sql);
+    auto expected = reference.Execute(c.sql);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_FALSE(expected->rows.empty());
+    auto parsed = sql::ParseSelect(c.sql);
+    ASSERT_TRUE(parsed.ok());
+    auto svp = engine.ExecuteSvp(**parsed);
+    ASSERT_TRUE(svp.ok()) << "SVP: " << svp.status().ToString();
+    auto avp = engine.ExecuteAvp(**parsed);
+    ASSERT_TRUE(avp.ok()) << "AVP: " << avp.status().ToString();
+    if (c.ordered) {
+      testutil::ExpectResultsIdentical(*expected, *svp);
+      testutil::ExpectResultsIdentical(*expected, *avp);
+    } else {
+      // AVP chunks land in completion order, so without ORDER BY only
+      // the row set is defined.
+      EXPECT_EQ(expected->column_names, svp->column_names);
+      EXPECT_EQ(expected->column_names, avp->column_names);
+      testutil::ExpectResultsEqual(*expected, *svp, /*ignore_order=*/true);
+      testutil::ExpectResultsEqual(*expected, *avp, /*ignore_order=*/true);
+    }
+  }
+  EXPECT_EQ(engine.stats().svp_queries, 2 * cases.size());
+}
+
+// Composition time accumulates in microseconds: one sub-millisecond
+// SVP composition must already register.
+TEST(CompositionEquivalenceTest, ComposeTimeAccumulatesMicroseconds) {
+  cjdbc::ReplicaSet replicas(
+      3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(SharedData().LoadIntoReplicas(&replicas).ok());
+  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(SharedData()));
+  auto r = engine.ExecuteRead(0, *tpch::QuerySql(1));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(engine.stats().svp_queries, 1u);
+  EXPECT_GT(engine.stats().compose_us_total, 0u);
+  const std::string rendered = engine.stats().ToString();
+  EXPECT_NE(rendered.find("compose_us="), std::string::npos) << rendered;
+}
+
+// Every composition the SVP rewriter emits for the paper's TPC-H set
+// (and the extended set) carries its statement on the plan and
+// composes to the single-node answer.
 TEST(FastPathCoverageTest, AllTpchCompositionsUseFastPath) {
   engine::Database reference(
       engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -220,7 +354,7 @@ TEST(FastPathCoverageTest, AllTpchCompositionsUseFastPath) {
 
   std::vector<int> all = tpch::PaperQueryNumbers();
   for (int q : tpch::ExtendedQueryNumbers()) all.push_back(q);
-  uint64_t expected_fastpath = 0;
+  uint64_t expected_svp = 0;
   for (int q : all) {
     SCOPED_TRACE("Q" + std::to_string(q));
     auto sql = tpch::QuerySql(q);
@@ -229,26 +363,24 @@ TEST(FastPathCoverageTest, AllTpchCompositionsUseFastPath) {
     ASSERT_TRUE(parsed.ok());
     auto plan = SvpRewriter(engine.data_catalog()).Rewrite(**parsed);
     if (!plan.ok()) continue;  // non-rewritable never composes
-    EXPECT_NE(plan->merge_program(), nullptr)
-        << "composition not merge-compilable: " << plan->composition_sql();
+    EXPECT_NE(plan->merge_program(), nullptr) << plan->composition_sql();
     auto expected = reference.Execute(*sql);
     ASSERT_TRUE(expected.ok());
     auto actual = engine.ExecuteRead(0, *sql);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     testutil::ExpectResultsEqual(*expected, *actual, true);
-    ++expected_fastpath;
+    ++expected_svp;
   }
-  EXPECT_GT(expected_fastpath, 0u);
-  EXPECT_EQ(engine.stats().compose_fastpath, expected_fastpath);
-  EXPECT_EQ(engine.stats().compose_fallback, 0u);
+  EXPECT_GT(expected_svp, 0u);
+  EXPECT_EQ(engine.stats().svp_queries, expected_svp);
 }
 
 // Many clients hammering SVP aggregates while a writer churns the
 // fact tables: every result must be internally consistent, the final
-// state must match a single node, and the per-query streaming
-// composition must have run on the fast path throughout. This is the
-// schedule that deadlocked/serialized on the old global composer lock
-// (run under TSan in CI).
+// state must match a single node, and every read must have composed
+// through the per-query streaming composition. This is the schedule
+// that deadlocked/serialized on the old global composer lock (run
+// under TSan in CI).
 TEST(ConcurrentCompositionTest, EightClientsWithUpdates) {
   cjdbc::ReplicaSet replicas(
       3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
@@ -304,10 +436,9 @@ TEST(ConcurrentCompositionTest, EightClientsWithUpdates) {
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     testutil::ExpectResultsEqual(*expected, *actual, true);
   }
-  // Every composition above is a pure re-aggregation.
-  EXPECT_GT(engine.stats().compose_fastpath,
+  // Every read above is SVP-rewritable and composed.
+  EXPECT_GT(engine.stats().svp_queries,
             static_cast<uint64_t>(kClients * kItersPerClient) - 1);
-  EXPECT_EQ(engine.stats().compose_fallback, 0u);
 }
 
 TEST(PlanCacheTest, NormalizeSqlCollapsesCaseAndWhitespace) {
@@ -451,74 +582,6 @@ TEST(PlanCacheTest, CachesNonSvpOutcomes) {
       << rendered;
   EXPECT_NE(rendered.find("plan_cache_misses=2"), std::string::npos)
       << rendered;
-}
-
-// MemDb type inference must scan all partials: a node whose range
-// matched nothing returns all-NULL columns, and typing those off the
-// first partial alone would poison the merge table.
-TEST(MemDbInferenceTest, AllNullFirstPartialTypedFromLater) {
-  std::vector<engine::QueryResult> partials;
-  partials.push_back(MakePartial({"a0", "g0"},
-                                 {{Value::Null(), Value::Null()}}));
-  partials.push_back(MakePartial(
-      {"a0", "g0"}, {{Value::Double(1.5), Value::Str("x")}}));
-  auto ptrs = Ptrs(partials);
-  ASSERT_TRUE(memdb::InferColumnType(ptrs, 0).ok());
-  EXPECT_EQ(*memdb::InferColumnType(ptrs, 0), ValueType::kDouble);
-  EXPECT_EQ(*memdb::InferColumnType(ptrs, 1), ValueType::kString);
-  memdb::MemDb db;
-  ASSERT_TRUE(db.LoadPartials("partials", ptrs).ok());
-  auto r = db.Execute("select sum(a0), min(g0) from partials");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_DOUBLE_EQ(r->rows[0][0].double_val(), 1.5);
-}
-
-// Mixed integer/double numeric columns promote to DOUBLE so every
-// partial's values load (one node's sum stayed integral).
-TEST(MemDbInferenceTest, MixedNumericPromotesToDouble) {
-  std::vector<engine::QueryResult> partials;
-  partials.push_back(MakePartial({"a0"}, {{Value::Int(2)}}));
-  partials.push_back(MakePartial({"a0"}, {{Value::Double(0.5)}}));
-  auto ptrs = Ptrs(partials);
-  ASSERT_TRUE(memdb::InferColumnType(ptrs, 0).ok());
-  EXPECT_EQ(*memdb::InferColumnType(ptrs, 0), ValueType::kDouble);
-  memdb::MemDb db;
-  ASSERT_TRUE(db.LoadPartials("partials", ptrs).ok());
-  auto r = db.Execute("select sum(a0) from partials");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_DOUBLE_EQ(r->rows[0][0].double_val(), 2.5);
-}
-
-TEST(MemDbInferenceTest, AllNullEverywhereStaysString) {
-  std::vector<engine::QueryResult> partials;
-  partials.push_back(MakePartial({"a0"}, {{Value::Null()}}));
-  partials.push_back(MakePartial({"a0"}, {}));
-  auto t = memdb::InferColumnType(Ptrs(partials), 0);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(*t, ValueType::kString);
-}
-
-// A column mixing numeric and non-numeric values across partials has
-// no type every value fits: inference must reject it, not type it by
-// whichever non-int value happens to scan first.
-TEST(MemDbInferenceTest, MixedNumericAndStringRejected) {
-  std::vector<engine::QueryResult> partials;
-  partials.push_back(MakePartial({"a0"}, {{Value::Int(7)}}));
-  partials.push_back(MakePartial({"a0"}, {{Value::Str("oops")}}));
-  auto ptrs = Ptrs(partials);
-  auto t = memdb::InferColumnType(ptrs, 0);
-  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
-  memdb::MemDb db;
-  EXPECT_EQ(db.LoadPartials("partials", ptrs).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(MemDbInferenceTest, MixedNonNumericTypesRejected) {
-  std::vector<engine::QueryResult> partials;
-  partials.push_back(MakePartial({"a0"}, {{Value::Str("x")}}));
-  partials.push_back(MakePartial({"a0"}, {{Value::Date(10)}}));
-  EXPECT_EQ(memdb::InferColumnType(Ptrs(partials), 0).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

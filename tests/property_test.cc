@@ -298,17 +298,13 @@ TEST_P(ComposerAlgebra, MergeEqualsDirectAggregation) {
     ASSERT_TRUE(r.ok());
     partials.push_back(std::move(r).value());
   }
-  std::vector<const engine::QueryResult*> ptrs;
-  for (const auto& p : partials) ptrs.push_back(&p);
-
-  ResultComposer composer;
-  CompositionStats stats;
-  auto merged = composer.Compose(
-      ptrs,
+  StreamingComposition sink(
+      nullptr,
       "select g0, sum(a0) as s, sum(a1) as c, "
       "case when sum(a2c) = 0 then null else sum(a2s) / sum(a2c) end as av, "
-      "min(a3) as mn, max(a4) as mx from partials group by g0 order by g0",
-      &stats);
+      "min(a3) as mn, max(a4) as mx from partials group by g0 order by g0");
+  for (auto& p : partials) ASSERT_TRUE(sink.Add(std::move(p)).ok());
+  auto merged = sink.Finish(nullptr);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
 
   auto direct = truth.Execute(
