@@ -156,6 +156,36 @@ void BM_Compose(benchmark::State& state) {
 }
 BENCHMARK(BM_Compose)->Arg(100)->Arg(2000);
 
+// The join benches' tables: `dim (k, tag)` with `dim_rows` keys spread
+// evenly over fact's key space [0, 100k), and `fact (fk, v)` with 200k
+// rows, two per key.
+constexpr int kFactRows = 200000;
+bool LoadFactDim(engine::Database* db, int dim_rows) {
+  constexpr int kKeySpace = 100000;  // fact keys cover [0, 100k)
+  if (!db->Execute("create table dim (k int, tag int)").ok() ||
+      !db->Execute("create table fact (fk int, v double)").ok()) {
+    return false;
+  }
+  std::vector<Row> dim;
+  dim.reserve(static_cast<size_t>(dim_rows));
+  for (int i = 0; i < dim_rows; ++i) {
+    // Spread dim keys over the whole key space so selectivity is
+    // dim_rows / kKeySpace, not a dense prefix.
+    dim.push_back({Value::Int((i * (kKeySpace / dim_rows)) % kKeySpace),
+                   Value::Int(i % 7)});
+  }
+  std::vector<Row> fact;
+  fact.reserve(kFactRows);
+  for (int i = 0; i < kFactRows; ++i) {
+    fact.push_back(
+        {Value::Int(i % kKeySpace), Value::Double((i % 89) * 0.25)});
+  }
+  auto dim_t = db->catalog()->GetTable("dim");
+  auto fact_t = db->catalog()->GetTable("fact");
+  return dim_t.ok() && (*dim_t)->BulkLoad(std::move(dim)).ok() &&
+         fact_t.ok() && (*fact_t)->BulkLoad(std::move(fact)).ok();
+}
+
 // Morsel-parallel partitioned hash join: a selective dimension build
 // side probed by a 200k-row fact side.
 // Args: {build rows, exec_threads} — 1k build rows keep ~99% of probes
@@ -167,31 +197,7 @@ void BM_HashJoin(benchmark::State& state) {
   const int build_rows = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  if (!db.Execute("create table dim (k int, tag int)").ok() ||
-      !db.Execute("create table fact (fk int, v double)").ok()) {
-    state.SkipWithError("create failed");
-    return;
-  }
-  constexpr int kFactRows = 200000;
-  constexpr int kKeySpace = 100000;  // fact keys cover [0, 100k)
-  std::vector<Row> dim;
-  dim.reserve(static_cast<size_t>(build_rows));
-  for (int i = 0; i < build_rows; ++i) {
-    // Spread build keys over the whole key space so selectivity is
-    // build_rows / kKeySpace, not a dense prefix.
-    dim.push_back({Value::Int((i * (kKeySpace / build_rows)) % kKeySpace),
-                   Value::Int(i % 7)});
-  }
-  std::vector<Row> fact;
-  fact.reserve(kFactRows);
-  for (int i = 0; i < kFactRows; ++i) {
-    fact.push_back(
-        {Value::Int(i % kKeySpace), Value::Double((i % 89) * 0.25)});
-  }
-  auto dim_t = db.catalog()->GetTable("dim");
-  auto fact_t = db.catalog()->GetTable("fact");
-  if (!dim_t.ok() || !(*dim_t)->BulkLoad(std::move(dim)).ok() ||
-      !fact_t.ok() || !(*fact_t)->BulkLoad(std::move(fact)).ok()) {
+  if (!LoadFactDim(&db, build_rows)) {
     state.SkipWithError("load failed");
     return;
   }
@@ -230,6 +236,48 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)
     ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}})
+    ->Unit(benchmark::kMillisecond);
+
+// Semi- and anti-join stages of the morsel join, Q4-shaped: 50k dim
+// rows (the outer query, like orders) keep those with (EXISTS) or
+// without (NOT EXISTS) a fact row of their key passing an inner-only
+// filter (like lineitem's l_commitdate < l_receiptdate), grouped by
+// tag. The fact side builds a key-only table. Args: {0 = EXISTS,
+// 1 = NOT EXISTS, exec_threads}.
+void BM_SemiJoin(benchmark::State& state) {
+  const bool anti = state.range(0) != 0;
+  const int threads = static_cast<int>(state.range(1));
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  if (!LoadFactDim(&db, 50000)) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
+    state.SkipWithError("set failed");
+    return;
+  }
+  const std::string sql =
+      std::string("select tag, count(*) from dim where ") +
+      (anti ? "not " : "") +
+      "exists (select * from fact where fk = k and v < 11.0)"
+      " group by tag order by tag";
+  engine::ExecStats stats;
+  for (auto _ : state) {
+    auto r = db.Execute(sql);
+    if (!r.ok()) {
+      state.SkipWithError("query failed");
+      return;
+    }
+    stats = r->stats;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["build_rows"] = static_cast<double>(stats.join_build_rows);
+  state.counters["probe_rows"] = static_cast<double>(stats.join_probe_rows);
+  state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
+  state.SetItemsProcessed(state.iterations() * kFactRows);
+}
+BENCHMARK(BM_SemiJoin)
+    ->ArgsProduct({{0, 1}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
 // Morsel-driven columnar aggregation over a table of at least 200k

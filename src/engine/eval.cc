@@ -27,26 +27,29 @@ int Relation::FindSlot(const std::string& qualifier,
   return found;
 }
 
-Result<int> ColumnResolver::Resolve(const sql::Expr& e) {
+int ColumnResolver::Resolve(const sql::Expr& e) {
   auto it = cache_.find(&e);
-  if (it != cache_.end()) {
-    if (it->second < 0) {
-      return Status::BindError("unresolved column " + e.column_name);
-    }
-    return it->second;
-  }
-  int slot = rel_->FindSlot(e.table_qualifier, e.column_name);
-  if (slot == -2) {
-    return Status::BindError("ambiguous column " + e.column_name);
-  }
+  if (it != cache_.end()) return it->second;
+  const int slot = rel_->FindSlot(e.table_qualifier, e.column_name);
   cache_[&e] = slot;
-  if (slot < 0) {
-    return Status::BindError("unresolved column " +
-                             (e.table_qualifier.empty()
-                                  ? e.column_name
-                                  : e.table_qualifier + "." + e.column_name));
-  }
   return slot;
+}
+
+bool ComparisonHolds(BinaryOp op, int c) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return c == 0;
+    case BinaryOp::kNotEq:
+      return c != 0;
+    case BinaryOp::kLt:
+      return c < 0;
+    case BinaryOp::kLtEq:
+      return c <= 0;
+    case BinaryOp::kGt:
+      return c > 0;
+    default:  // kGtEq
+      return c >= 0;
+  }
 }
 
 int Truthiness(const Value& v) {
@@ -91,8 +94,8 @@ namespace {
 
 Result<Value> EvalColumnRef(const Expr& e, const EvalContext& ctx) {
   for (const EvalScope* s = ctx.scope; s != nullptr; s = s->outer) {
-    Result<int> slot = s->resolver->Resolve(e);
-    if (slot.ok()) return (*s->row)[static_cast<size_t>(*slot)];
+    const int slot = s->resolver->Resolve(e);
+    if (slot >= 0) return (*s->row)[static_cast<size_t>(slot)];
   }
   return Status::BindError(
       "unresolved column " +
@@ -181,23 +184,7 @@ Result<Value> Eval(const Expr& e, const EvalContext& ctx) {
       APUAMA_ASSIGN_OR_RETURN(Value b, Eval(*e.children[1], ctx));
       if (sql::IsComparison(op)) {
         if (a.is_null() || b.is_null()) return Value::Null();
-        int c = a.Compare(b);
-        switch (op) {
-          case BinaryOp::kEq:
-            return Value::Int(c == 0);
-          case BinaryOp::kNotEq:
-            return Value::Int(c != 0);
-          case BinaryOp::kLt:
-            return Value::Int(c < 0);
-          case BinaryOp::kLtEq:
-            return Value::Int(c <= 0);
-          case BinaryOp::kGt:
-            return Value::Int(c > 0);
-          case BinaryOp::kGtEq:
-            return Value::Int(c >= 0);
-          default:
-            break;
-        }
+        return Value::Int(ComparisonHolds(op, a.Compare(b)) ? 1 : 0);
       }
       return EvalArithmetic(op, a, b);
     }

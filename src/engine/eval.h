@@ -44,9 +44,11 @@ class ColumnResolver {
  public:
   explicit ColumnResolver(const Relation* rel) : rel_(rel) {}
 
-  /// Slot for a column-ref expression; negative Status when the name
-  /// does not resolve in this relation (caller may try outer scope).
-  Result<int> Resolve(const sql::Expr& e);
+  /// Slot for a column-ref expression; negative when the name does
+  /// not resolve in this relation or resolves ambiguously (the caller
+  /// may try an outer scope). Never allocates an error: a correlated
+  /// reference misses the inner scope once per row.
+  int Resolve(const sql::Expr& e);
 
   const Relation* relation() const { return rel_; }
 
@@ -81,6 +83,10 @@ Result<Value> Eval(const sql::Expr& e, const EvalContext& ctx);
 /// Interprets a value as a SQL condition: 1 = true, 0 = false,
 /// -1 = unknown (NULL).
 int Truthiness(const Value& v);
+
+/// Whether comparison `op` (IsComparison) holds for a three-way
+/// compare result `c` (<0, 0, >0).
+bool ComparisonHolds(sql::BinaryOp op, int c);
 
 /// SQL LIKE with % and _ wildcards.
 bool LikeMatch(const std::string& text, const std::string& pattern);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -181,7 +182,28 @@ struct AggAcc {
   std::set<Value> distinct;  // only for DISTINCT aggregates
 };
 
-void AggUpdate(AggAcc* acc, const Expr& agg, const Value& v) {
+// Aggregate function, resolved once per aggregate node instead of
+// string-comparing per row.
+enum class AggFunc { kCount, kSum, kAvg, kMin, kMax, kOther };
+
+AggFunc AggFuncOf(const Expr& e) {
+  if (e.func_name == "count") return AggFunc::kCount;
+  if (e.func_name == "sum") return AggFunc::kSum;
+  if (e.func_name == "avg") return AggFunc::kAvg;
+  if (e.func_name == "min") return AggFunc::kMin;
+  if (e.func_name == "max") return AggFunc::kMax;
+  return AggFunc::kOther;
+}
+
+std::vector<AggFunc> AggFuncsOf(const std::vector<const Expr*>& agg_nodes) {
+  std::vector<AggFunc> funcs;
+  funcs.reserve(agg_nodes.size());
+  for (const Expr* a : agg_nodes) funcs.push_back(AggFuncOf(*a));
+  return funcs;
+}
+
+// Folds one input value into `acc`; `func` is AggFuncOf(agg).
+void AggUpdate(AggAcc* acc, const Expr& agg, AggFunc func, const Value& v) {
   if (agg.star_arg) {
     ++acc->count;
     return;
@@ -193,25 +215,28 @@ void AggUpdate(AggAcc* acc, const Expr& agg, const Value& v) {
   }
   ++acc->count;
   acc->has_value = true;
-  if (agg.func_name == "min") {
-    if (acc->min_v.is_null() || v.Compare(acc->min_v) < 0) acc->min_v = v;
-    return;
-  }
-  if (agg.func_name == "max") {
-    if (acc->max_v.is_null() || v.Compare(acc->max_v) > 0) acc->max_v = v;
-    return;
-  }
-  if (agg.func_name == "sum" || agg.func_name == "avg") {
-    if (v.type() == ValueType::kInt64 && !acc->any_double) {
-      acc->isum += v.int_val();
-    } else {
-      if (!acc->any_double) {
-        acc->dsum = static_cast<double>(acc->isum);
-        acc->any_double = true;
+  switch (func) {
+    case AggFunc::kMin:
+      if (acc->min_v.is_null() || v.Compare(acc->min_v) < 0) acc->min_v = v;
+      return;
+    case AggFunc::kMax:
+      if (acc->max_v.is_null() || v.Compare(acc->max_v) > 0) acc->max_v = v;
+      return;
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      if (v.type() == ValueType::kInt64 && !acc->any_double) {
+        acc->isum += v.int_val();
+      } else {
+        if (!acc->any_double) {
+          acc->dsum = static_cast<double>(acc->isum);
+          acc->any_double = true;
+        }
+        auto d = v.AsDouble();
+        acc->dsum += d.ok() ? *d : 0;
       }
-      auto d = v.AsDouble();
-      acc->dsum += d.ok() ? *d : 0;
-    }
+      return;
+    default:
+      return;  // count(x) and unknowns only track count/has_value
   }
 }
 
@@ -403,6 +428,75 @@ class KeyFilter {
   std::array<uint64_t, kBits / 64> words_{};
 };
 
+// One hash partition of a morsel-join build stage. Entries sit in
+// insertion order in flat arrays — key values (`width` per entry), key
+// hash, heap position of the build row — and chain per bucket newest
+// first, the match order std::unordered_multimap gives equal keys, so
+// a build allocates per partition rather than per row. The partition's
+// semi-join filter rides along.
+class BuildTable {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  // Sizes the table for `n` entries of `width` key values.
+  void Reset(size_t width, size_t n) {
+    width_ = width;
+    keys_.reserve(n * width);
+    hashes_.reserve(n);
+    pos_.reserve(n);
+    next_.reserve(n);
+    size_t buckets = 1;
+    while (buckets < n) buckets <<= 1;
+    heads_.assign(buckets, kEnd);
+  }
+  // Appends an entry, moving its `width` key values out of `key`.
+  void Insert(size_t hash, Value* key, uint32_t pos) {
+    const uint32_t e = static_cast<uint32_t>(pos_.size());
+    for (size_t i = 0; i < width_; ++i) keys_.push_back(std::move(key[i]));
+    hashes_.push_back(hash);
+    pos_.push_back(pos);
+    const size_t b = Bucket(hash);
+    next_.push_back(heads_[b]);
+    heads_[b] = e;
+    filter_.Add(hash);
+  }
+  bool MayContain(size_t hash) const { return filter_.MayContain(hash); }
+  // The first entry equal to `key` (whose hash is `hash`), or kEnd;
+  // Next continues the walk from entry `e`.
+  uint32_t Find(size_t hash, const Value* key) const {
+    return Scan(heads_.empty() ? kEnd : heads_[Bucket(hash)], hash, key);
+  }
+  uint32_t Next(uint32_t e, size_t hash, const Value* key) const {
+    return Scan(next_[e], hash, key);
+  }
+  uint32_t pos(uint32_t e) const { return pos_[e]; }
+  size_t size() const { return pos_.size(); }
+
+ private:
+  // The low bits pick the partition, so buckets use the ones above.
+  size_t Bucket(size_t hash) const {
+    return (hash >> 4) & (heads_.size() - 1);
+  }
+  uint32_t Scan(uint32_t e, size_t hash, const Value* key) const {
+    for (; e != kEnd; e = next_[e]) {
+      if (hashes_[e] != hash) continue;
+      const Value* k = &keys_[e * width_];
+      size_t i = 0;
+      while (i < width_ && k[i].Compare(key[i]) == 0) ++i;
+      if (i == width_) return e;
+    }
+    return kEnd;
+  }
+
+  size_t width_ = 0;
+  std::vector<Value> keys_;
+  std::vector<size_t> hashes_;
+  std::vector<uint32_t> pos_;
+  std::vector<uint32_t> next_;
+  std::vector<uint32_t> heads_;
+  KeyFilter filter_;
+};
+
 // Morsel-private partial aggregation state: every morsel owns a
 // private set of hash tables and counters, so workers share no mutable
 // state. Keys are hash-partitioned at build time so the merge can fan
@@ -427,9 +521,10 @@ struct MorselPartial {
 // fixed merge partition, and fold every aggregate argument into the
 // group's accumulators. Shared by the single-table morsel pipeline
 // and the tail of the morsel join probe chain. ctx.cpu_ops must point
-// at the morsel's private counter.
+// at the morsel's private counter; agg_funcs is AggFuncsOf(agg_nodes).
 Status AccumulateRow(const SelectStmt& stmt,
                      const std::vector<const Expr*>& agg_nodes,
+                     const std::vector<AggFunc>& agg_funcs,
                      const EvalContext& ctx, const Row& repr,
                      MorselPartial* part) {
   Row key;
@@ -449,10 +544,10 @@ Status AccumulateRow(const SelectStmt& stmt,
     const Expr& agg = *agg_nodes[ai];
     ++*ctx.cpu_ops;
     if (agg.star_arg) {
-      AggUpdate(&grp.accs[ai], agg, Value::Null());
+      AggUpdate(&grp.accs[ai], agg, agg_funcs[ai], Value::Null());
     } else {
       APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*agg.children[0], ctx));
-      AggUpdate(&grp.accs[ai], agg, v);
+      AggUpdate(&grp.accs[ai], agg, agg_funcs[ai], v);
     }
   }
   return Status::OK();
@@ -1138,11 +1233,11 @@ Result<Relation> Executor::ScanTable(const FromBinding& fb,
 // ---------------------------------------------------------------------------
 
 // True when a subquery's result depends on more than its FROM+WHERE
-// (grouping, aggregates, DISTINCT, LIMIT): such subqueries must run
-// through full SELECT semantics, not the decorrelated fast path.
+// (grouping, aggregates, DISTINCT, LIMIT, OFFSET): such subqueries must
+// run through full SELECT semantics, not the decorrelated fast path.
 static bool SubqueryAggregates(const SelectStmt& sub) {
   if (!sub.group_by.empty() || sub.having != nullptr || sub.distinct ||
-      sub.limit >= 0) {
+      sub.limit >= 0 || sub.offset > 0) {
     return true;
   }
   for (const auto& item : sub.items) {
@@ -1484,8 +1579,9 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
     done = true;
   } else if (has_agg && MorselJoinEligible(stmt, outer)) {
     // Morsel-parallel partitioned hash joins. Planning may discover a
-    // shape the pipeline cannot run (cross join, outer references) and
-    // return nullopt; the sequential chain below then takes over.
+    // shape the pipeline cannot run (cross join, outer references, a
+    // subquery it cannot decorrelate) and return nullopt; the
+    // sequential chain below then takes over.
     APUAMA_ASSIGN_OR_RETURN(std::optional<QueryResult> qr,
                             ExecuteMorselJoin(stmt));
     if (qr.has_value()) {
@@ -1695,19 +1791,6 @@ int64_t ColWrapAdd(int64_t a, int64_t b) {
                               static_cast<uint64_t>(b));
 }
 
-// Aggregate function, resolved once at compile time instead of
-// string-comparing per row.
-enum class AggFunc { kCount, kSum, kAvg, kMin, kMax, kOther };
-
-AggFunc AggFuncOf(const Expr& e) {
-  if (e.func_name == "count") return AggFunc::kCount;
-  if (e.func_name == "sum") return AggFunc::kSum;
-  if (e.func_name == "avg") return AggFunc::kAvg;
-  if (e.func_name == "min") return AggFunc::kMin;
-  if (e.func_name == "max") return AggFunc::kMax;
-  return AggFunc::kOther;
-}
-
 // One aggregate in the columnar plan. `arg` is the vectorized
 // argument kernel; null means the argument did not compile and the
 // morsel loop falls back to row-wise Eval + AggUpdate for this one
@@ -1727,18 +1810,64 @@ struct ColKeySpec {
   const Expr* expr = nullptr;
 };
 
+// One WHERE conjunct of a morsel scan; exactly one of vec/row is set.
+// Steps keep SplitConjuncts order so each conjunct evaluates over
+// precisely the survivors of the previous ones — the same row set (and
+// the same error behavior) as the row path's short-circuit.
+struct PredStep {
+  std::unique_ptr<VecPredicate> vec;
+  const Expr* row = nullptr;
+};
+
+// Compiles a scan's conjuncts against its column chunk. `chunk` is
+// null for index-order scans: nothing compiles, every step is
+// row-wise.
+std::vector<PredStep> CompilePredSteps(const std::vector<const Expr*>& preds,
+                                       const Relation& header,
+                                       const storage::ColumnarTable* chunk) {
+  std::vector<PredStep> steps;
+  steps.reserve(preds.size());
+  for (const Expr* p : preds) {
+    PredStep step;
+    if (chunk != nullptr) step.vec = CompileVecPredicate(*p, header, *chunk);
+    if (step.vec == nullptr) step.row = p;
+    steps.push_back(std::move(step));
+  }
+  return steps;
+}
+
+// Shrinks `sel` (heap positions of `t`) to the rows every step keeps:
+// compiled kernels filter in slices; a row-wise step evaluates each
+// surviving heap row in place through `ctx`, pointing `scope` (ctx's
+// scope) at it. Charges ctx.cpu_ops.
+Status FilterSelection(const std::vector<PredStep>& steps,
+                       const storage::ColumnarTable* chunk,
+                       const storage::Table& t, EvalScope* scope,
+                       const EvalContext& ctx, std::vector<uint32_t>* sel,
+                       uint64_t* vec_rows, uint64_t* dict_hits) {
+  for (const PredStep& step : steps) {
+    if (sel->empty()) break;
+    if (step.vec != nullptr) {
+      APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *chunk, sel, ctx.cpu_ops,
+                                     vec_rows, dict_hits));
+      continue;
+    }
+    std::vector<uint32_t> keep;
+    keep.reserve(sel->size());
+    for (const uint32_t pos : *sel) {
+      scope->row = &t.row(pos);
+      APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctx));
+      if (Truthiness(v) == 1) keep.push_back(pos);
+    }
+    sel->swap(keep);
+  }
+  return Status::OK();
+}
+
 struct ColumnarPlan {
   // Null for index-order scans: nothing compiles, every step is row-wise.
   const storage::ColumnarTable* chunk = nullptr;
-  // WHERE conjuncts in SplitConjuncts order; exactly one of vec/row
-  // is set per step. Order is preserved so each conjunct evaluates
-  // over precisely the survivors of the previous ones — the same row
-  // set (and the same error behavior) as the row path's short-circuit.
-  struct PredStep {
-    std::unique_ptr<VecPredicate> vec;
-    const Expr* row = nullptr;
-  };
-  std::vector<PredStep> preds;
+  std::vector<PredStep> preds;  // WHERE conjuncts
   std::vector<ColKeySpec> keys;
   std::vector<ColAggSpec> aggs;
 };
@@ -1749,12 +1878,7 @@ ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
                              const std::vector<const Expr*>& agg_nodes) {
   ColumnarPlan cp;
   cp.chunk = chunk;
-  for (const Expr* p : preds) {
-    ColumnarPlan::PredStep step;
-    if (chunk != nullptr) step.vec = CompileVecPredicate(*p, header, *chunk);
-    if (step.vec == nullptr) step.row = p;
-    cp.preds.push_back(std::move(step));
-  }
+  cp.preds = CompilePredSteps(preds, header, chunk);
   for (const auto& g : stmt.group_by) {
     ColKeySpec ks;
     if (g->kind == ExprKind::kColumnRef) {
@@ -2276,6 +2400,7 @@ Result<QueryResult> Executor::AggregateAndProject(const SelectStmt& stmt,
                                                   Relation rel,
                                                   const EvalScope* outer) {
   std::vector<const Expr*> agg_nodes = CollectAggInventory(stmt);
+  const std::vector<AggFunc> agg_funcs = AggFuncsOf(agg_nodes);
   for (const auto& it : stmt.items) {
     if (it.star) {
       return Status::Unsupported("SELECT * with aggregation");
@@ -2308,10 +2433,10 @@ Result<QueryResult> Executor::AggregateAndProject(const SelectStmt& stmt,
       const Expr& agg = *agg_nodes[ai];
       ++stats_->cpu_ops;
       if (agg.star_arg) {
-        AggUpdate(&grp.accs[ai], agg, Value::Null());
+        AggUpdate(&grp.accs[ai], agg, agg_funcs[ai], Value::Null());
       } else {
         APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*agg.children[0], ctx));
-        AggUpdate(&grp.accs[ai], agg, v);
+        AggUpdate(&grp.accs[ai], agg, agg_funcs[ai], v);
       }
     }
   }
@@ -2422,22 +2547,9 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
     ctx.executor = nullptr;  // eligibility guaranteed no subqueries
     ctx.cpu_ops = &part.cpu;
 
-    for (const ColumnarPlan::PredStep& step : cp.preds) {
-      if (sel.empty()) break;
-      if (step.vec != nullptr) {
-        APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *cp.chunk, &sel, &part.cpu,
-                                       &part.vec_rows, &part.dict_hits));
-      } else {
-        std::vector<uint32_t> keep;
-        keep.reserve(sel.size());
-        for (uint32_t pos : sel) {
-          scope.row = &t.row(pos);
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctx));
-          if (Truthiness(v) == 1) keep.push_back(pos);
-        }
-        sel = std::move(keep);
-      }
-    }
+    APUAMA_RETURN_NOT_OK(FilterSelection(cp.preds, cp.chunk, t, &scope, ctx,
+                                         &sel, &part.vec_rows,
+                                         &part.dict_hits));
     if (sel.empty()) return Status::OK();
     const size_t n = sel.size();
 
@@ -2469,7 +2581,7 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
             scope.row = &t.row(pos);
             ++part.cpu;
             APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*spec.agg->children[0], ctx));
-            AggUpdate(&g.accs[ai], *spec.agg, v);
+            AggUpdate(&g.accs[ai], *spec.agg, spec.func, v);
           }
         }
       }
@@ -2511,7 +2623,7 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
           scope.row = &r;
           ++part.cpu;
           APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*spec.agg->children[0], ctx));
-          AggUpdate(&grp.accs[ai], *spec.agg, v);
+          AggUpdate(&grp.accs[ai], *spec.agg, spec.func, v);
         }
       }
     }
@@ -2797,9 +2909,11 @@ Executor::ExecuteSharedAggregates(
   const ScanPlan& plan = plans[0];
 
   std::vector<std::vector<const Expr*>> agg_nodes(n);
+  std::vector<std::vector<AggFunc>> agg_funcs(n);
   std::vector<Relation> headers(n);
   for (size_t i = 0; i < n; ++i) {
     agg_nodes[i] = CollectAggInventory(*stmts[i]);
+    agg_funcs[i] = AggFuncsOf(agg_nodes[i]);
     headers[i].columns.reserve(t.schema().num_columns());
     for (const auto& col : t.schema().columns()) {
       headers[i].columns.push_back(ColumnBinding{fbs[i].binding, col.name});
@@ -2849,7 +2963,8 @@ Executor::ExecuteSharedAggregates(
         }
         if (!keep) continue;
         APUAMA_RETURN_NOT_OK(
-            AccumulateRow(*stmts[i], agg_nodes[i], ctxs[i], r, &part));
+            AccumulateRow(*stmts[i], agg_nodes[i], agg_funcs[i], ctxs[i], r,
+                          &part));
       }
     }
     return Status::OK();
@@ -2936,17 +3051,193 @@ Executor::ExecuteSharedAggregates(
 // Morsel-parallel partitioned hash joins
 // ---------------------------------------------------------------------------
 
+namespace {
+
+bool IsSubqueryConjunct(const Expr& c) {
+  return c.kind == ExprKind::kExists || c.kind == ExprKind::kInSubquery;
+}
+
+// A WHERE conjunct EXISTS / NOT EXISTS / IN (subquery), decorrelated
+// into a semi or anti stage of the morsel join. The rules are
+// ApplySubqueryPredicate's: inner-only conjuncts filter the build
+// scan, each `inner = outer` equality is a key pair, and any other
+// correlated conjunct is a residual evaluated per match with the inner
+// row innermost and the outer tuple next.
+struct SubqueryStagePlan {
+  Executor::FromBinding source;          // the subquery's one FROM table
+  bool anti = false;                     // NOT EXISTS
+  std::vector<const Expr*> scan_preds;   // inner-only conjuncts
+  std::vector<const Expr*> probe_keys;   // outer side of each key pair
+  std::vector<const Expr*> build_keys;   // inner side of each key pair
+  std::vector<const Expr*> residuals;    // other correlated conjuncts
+  std::set<std::string> outer_bindings;  // outer FROM bindings read
+};
+
+// Plans `c` (an IsSubqueryConjunct) as a semi/anti stage, or nullopt
+// for a shape the stage cannot take: an aggregating, multi-table or
+// nested subquery, NOT IN, no correlated equality, or a reference that
+// resolves neither inside the subquery nor in the outer FROM list.
+std::optional<SubqueryStagePlan> PlanSubqueryStage(
+    const Expr& c, const storage::Catalog* catalog,
+    const std::function<int(const Expr&)>& attribute,
+    const std::vector<std::string>& binding_names) {
+  const SelectStmt& sub = *c.subquery;
+  if (SubqueryAggregates(sub) || sub.from.size() != 1) return std::nullopt;
+  const Expr* in_lhs = nullptr;
+  const Expr* in_item = nullptr;
+  if (c.kind == ExprKind::kInSubquery) {
+    // NOT IN keeps the legacy per-row path for its NULL semantics.
+    if (c.negated || sub.items.size() != 1 || sub.items[0].star ||
+        ExprHasSubquery(*c.children[0])) {
+      return std::nullopt;
+    }
+    in_lhs = c.children[0].get();
+    in_item = sub.items[0].expr.get();
+  }
+  auto table = catalog->GetTable(sub.from[0].table);
+  if (!table.ok()) return std::nullopt;
+  SubqueryStagePlan plan;
+  plan.source.binding = ToLower(sub.from[0].binding());
+  plan.source.table = *table;
+  plan.anti = c.negated;
+  const Schema& schema = plan.source.table->schema();
+
+  // Which side each column ref of `x` reads: the subquery's table
+  // first (qualified by its binding, or an unqualified name its schema
+  // has), else an outer FROM binding, else unknown.
+  struct Sides {
+    bool inner = false;
+    bool outer = false;
+    bool unknown = false;
+    std::set<std::string> outer_bindings;
+  };
+  std::function<void(const Expr&, Sides*)> walk = [&](const Expr& n,
+                                                      Sides* s) {
+    if (n.subquery != nullptr) {
+      s->unknown = true;
+      return;
+    }
+    if (n.kind == ExprKind::kColumnRef) {
+      const bool inner =
+          n.table_qualifier.empty()
+              ? schema.FindColumn(n.column_name) >= 0
+              : EqualsIgnoreCase(plan.source.binding, n.table_qualifier);
+      if (inner) {
+        s->inner = true;
+        return;
+      }
+      const int idx = attribute(n);
+      if (idx < 0) {
+        s->unknown = true;
+        return;
+      }
+      s->outer = true;
+      s->outer_bindings.insert(binding_names[static_cast<size_t>(idx)]);
+      return;
+    }
+    for (const auto& ch : n.children) walk(*ch, s);
+    if (n.case_else) walk(*n.case_else, s);
+  };
+  auto add_key = [&](const Expr* probe, const Expr* build, const Sides& ps) {
+    plan.probe_keys.push_back(probe);
+    plan.build_keys.push_back(build);
+    plan.outer_bindings.insert(ps.outer_bindings.begin(),
+                               ps.outer_bindings.end());
+  };
+  for (const Expr* w : sql::SplitConjuncts(sub.where.get())) {
+    Sides s;
+    walk(*w, &s);
+    if (s.unknown) return std::nullopt;
+    if (!s.outer) {
+      plan.scan_preds.push_back(w);
+      continue;
+    }
+    if (w->kind == ExprKind::kBinary && w->binary_op == BinaryOp::kEq) {
+      Sides l, r;
+      walk(*w->children[0], &l);
+      walk(*w->children[1], &r);
+      if (l.inner && !l.outer && r.outer && !r.inner) {
+        add_key(w->children[1].get(), w->children[0].get(), r);
+        continue;
+      }
+      if (r.inner && !r.outer && l.outer && !l.inner) {
+        add_key(w->children[0].get(), w->children[1].get(), l);
+        continue;
+      }
+    }
+    plan.residuals.push_back(w);
+    plan.outer_bindings.insert(s.outer_bindings.begin(),
+                               s.outer_bindings.end());
+  }
+  if (in_lhs != nullptr) {
+    // The IN item evaluates over the inner row alone, the left operand
+    // over the outer tuple alone.
+    Sides item;
+    walk(*in_item, &item);
+    if (item.outer || item.unknown) return std::nullopt;
+    Sides lhs;
+    bool lhs_unknown = false;
+    CollectBindings(*in_lhs, catalog, attribute, &lhs.outer_bindings,
+                    &lhs_unknown, binding_names);
+    if (lhs_unknown) return std::nullopt;
+    add_key(in_lhs, in_item, lhs);
+  }
+  if (plan.probe_keys.empty()) return std::nullopt;
+  return plan;
+}
+
+// Whether evaluating `e` cannot fail: a literal, a column ref that
+// names exactly one column of some relation in `scopes` (Eval takes
+// the innermost such scope), or a comparison of two such operands —
+// Value::Compare orders any two values and NULL only makes the result
+// unknown.
+bool CannotFail(const Expr& e,
+                std::initializer_list<const Relation*> scopes) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return true;
+    case ExprKind::kColumnRef:
+      return std::any_of(scopes.begin(), scopes.end(), [&](const Relation* r) {
+        return r->FindSlot(e.table_qualifier, e.column_name) >= 0;
+      });
+    case ExprKind::kBinary:
+      return sql::IsComparison(e.binary_op) &&
+             CannotFail(*e.children[0], scopes) &&
+             CannotFail(*e.children[1], scopes);
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 bool Executor::MorselJoinEligible(const SelectStmt& stmt,
                                   const EvalScope* outer) const {
   if (outer != nullptr) return false;  // correlated context
   if (reference_) return false;
-  if (stmt.from.size() < 2) return false;  // single table: MorselEligible
   for (const auto& item : stmt.items) {
-    if (item.star) return false;
+    if (item.star || (item.expr && ExprHasSubquery(*item.expr))) return false;
   }
-  // Morsel workers run without an executor, so any subquery anywhere
-  // in the statement forces the sequential pipeline.
-  return !StmtHasSubquery(stmt);
+  for (const auto& g : stmt.group_by) {
+    if (ExprHasSubquery(*g)) return false;
+  }
+  if (stmt.having && ExprHasSubquery(*stmt.having)) return false;
+  for (const auto& o : stmt.order_by) {
+    if (ExprHasSubquery(*o.expr)) return false;
+  }
+  // Morsel workers run without an executor, so a subquery may appear
+  // only as a top-level EXISTS / IN conjunct of WHERE, which planning
+  // turns into a semi or anti stage. One such stage takes a
+  // single-table statement into the pipeline.
+  bool subquery_stage = false;
+  for (const Expr* c : sql::SplitConjuncts(stmt.where.get())) {
+    if (IsSubqueryConjunct(*c)) {
+      subquery_stage = true;
+    } else if (ExprHasSubquery(*c)) {
+      return false;
+    }
+  }
+  return stmt.from.size() >= 2 || subquery_stage;
 }
 
 Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
@@ -2996,12 +3287,12 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     return 0;  // unreachable: CollectBindings only emits FROM names
   };
 
-  // Classify WHERE conjuncts: single-binding conjuncts become scan
-  // predicates, two-binding equalities become join predicates, and
-  // everything else is a residual applied at the earliest probe stage
-  // that covers all its bindings. Conjunct order is WHERE order
-  // throughout, so composite keys and filter order are identical under
-  // permuted FROM lists.
+  // Classify WHERE conjuncts: EXISTS / IN (subquery) conjuncts become
+  // semi/anti stage plans, single-binding conjuncts scan predicates,
+  // two-binding equalities join predicates, and everything else is a
+  // residual applied at the earliest probe stage that covers all its
+  // bindings. Conjunct order is WHERE order throughout, so composite
+  // keys and filter order are identical under permuted FROM lists.
   struct JoinPredP {
     const Expr* lhs = nullptr;
     const Expr* rhs = nullptr;
@@ -3014,7 +3305,15 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   std::vector<std::vector<const Expr*>> scan_preds(from.size());
   std::vector<JoinPredP> join_preds;
   std::vector<ResidualP> residual_conjs;
+  std::vector<SubqueryStagePlan> subquery_stages;  // WHERE order
   for (const Expr* c : sql::SplitConjuncts(stmt.where.get())) {
+    if (IsSubqueryConjunct(*c)) {
+      std::optional<SubqueryStagePlan> sp = PlanSubqueryStage(
+          *c, db_->catalog(), attribute, binding_names);
+      if (!sp.has_value()) return std::optional<QueryResult>();
+      subquery_stages.push_back(std::move(*sp));
+      continue;
+    }
     std::set<std::string> bindings;
     bool uses_outer = false;
     CollectBindings(*c, db_->catalog(), attribute, &bindings, &uses_outer,
@@ -3046,10 +3345,10 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     residual_conjs.push_back(ResidualP{c, std::move(bindings)});
   }
 
-  // Driver = probe side of the whole chain: the largest raw table
-  // (ties broken by binding name), so the biggest scan is the one that
-  // streams through morsels instead of being materialized into hash
-  // tables.
+  // Driver = probe side of the whole chain: the largest raw table of
+  // the outer FROM list (ties broken by binding name), so the biggest
+  // scan is the one that streams through morsels instead of being
+  // materialized into hash tables.
   size_t driver = 0;
   for (size_t i = 1; i < from.size(); ++i) {
     const size_t a = from[i].table->num_rows();
@@ -3077,7 +3376,51 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     }
     if (reached.size() < from.size()) return std::optional<QueryResult>();
   }
+  auto append_cols = [](Relation* rel, const FromBinding& fb) {
+    for (const auto& col : fb.table->schema().columns()) {
+      rel->columns.push_back(ColumnBinding{fb.binding, col.name});
+    }
+  };
+  auto header_of = [&](const FromBinding& fb) {
+    Relation rel;
+    append_cols(&rel, fb);
+    return rel;
+  };
+  // A semi or anti stage only filters, so it may run as soon as the
+  // outer bindings it reads are covered, ahead of later inner stages.
+  // That changes which chain tuples the keys and residuals of both
+  // kinds of stage see, so it is done only when none of them can
+  // fail (Q4 and Q21 compare plain columns). Otherwise every semi/anti
+  // stage follows the last inner stage, the legacy iterator's order,
+  // and the pipeline fails exactly the statements the reference fails.
+  bool subquery_stages_early = true;
+  {
+    Relation outer_rel;
+    for (const FromBinding& fb : from) append_cols(&outer_rel, fb);
+    auto check = [&](const Expr* e,
+                     std::initializer_list<const Relation*> scopes) {
+      subquery_stages_early = subquery_stages_early && CannotFail(*e, scopes);
+    };
+    for (const JoinPredP& jp : join_preds) {
+      check(jp.lhs, {&outer_rel});
+      check(jp.rhs, {&outer_rel});
+    }
+    for (const ResidualP& rc : residual_conjs) check(rc.expr, {&outer_rel});
+    for (const SubqueryStagePlan& sp : subquery_stages) {
+      const Relation inner_rel = header_of(sp.source);
+      for (const Expr* k : sp.probe_keys) check(k, {&outer_rel});
+      for (const Expr* r : sp.residuals) check(r, {&inner_rel, &outer_rel});
+    }
+  }
   std::vector<const Expr*> agg_nodes = CollectAggInventory(stmt);
+  const std::vector<AggFunc> agg_funcs = AggFuncsOf(agg_nodes);
+  // Scan sources: the outer FROM tables, then each subquery stage's
+  // table, with its inner-only conjuncts as scan predicates.
+  std::vector<FromBinding> sources = from;
+  for (const SubqueryStagePlan& sp : subquery_stages) {
+    sources.push_back(sp.source);
+    scan_preds.push_back(sp.scan_preds);
+  }
 
   // ---- Plan committed; stats mutations start here. Spans cover the
   // pipeline phases only (coordinator thread) so trace shape does not
@@ -3094,68 +3437,88 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       stats_->exec_threads = static_cast<uint32_t>(th);
     }
   };
-  auto header_of = [](const FromBinding& fb) {
-    Relation rel;
-    rel.columns.reserve(fb.table->schema().num_columns());
-    for (const auto& col : fb.table->schema().columns()) {
-      rel.columns.push_back(ColumnBinding{fb.binding, col.name});
-    }
-    return rel;
-  };
   obs::Span build_span =
       obs::Tracer::Global().StartSpan("morsel.build", "morsel");
+
+  // Column chunk for a planned morsel scan, looked up on the
+  // coordinator (the column store is not thread-safe). Null for an
+  // index-order scan, which builds no chunk and runs row-wise.
+  auto chunk_for = [&](const storage::Table& t, const ScanMorsels& sm)
+      -> const storage::ColumnarTable* {
+    if (sm.by_position_list) return nullptr;
+    storage::ColumnStore::GetResult cg = db_->column_store()->Get(t);
+    if (cg.built) ++stats_->columnar_chunks_built;
+    if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
+    return cg.chunk;
+  };
+  // Per-morsel counters of a parallel build pass, folded into stats_
+  // on the coordinator.
+  struct PassCounters {
+    uint64_t cpu = 0;
+    uint64_t vec_rows = 0;
+    uint64_t dict_hits = 0;
+  };
+  auto fold_pass = [&](const PassCounters& c) {
+    stats_->cpu_ops += c.cpu;
+    stats_->cpu_ops_parallel += c.cpu;
+    stats_->vectorized_rows += c.vec_rows;
+    stats_->dict_hits += c.dict_hits;
+  };
 
   // ---- Build scans, first half: a build table is scanned in morsels
   // and filtered by its own scan predicates as soon as it becomes a
   // chain candidate. Survivor positions stay grouped by morsel so the
   // bucketing pass below inserts in morsel order; their count is the
-  // chain rank's selectivity input.
+  // chain rank's selectivity input. A subquery stage's table (lineitem
+  // in Q4 and Q21, a full fact-table scan whose chunk the paper's other
+  // queries keep anyway) filters and computes its keys through
+  // compiled kernels over its column chunk, row-wise where a conjunct
+  // or key does not compile. Inner build sides stay row-wise, so a
+  // join builds no chunk for its dimension tables.
   struct Filtered {
     bool done = false;
+    const storage::ColumnarTable* chunk = nullptr;
     std::vector<std::vector<uint32_t>> survivors;  // per morsel
     size_t kept = 0;
   };
-  std::vector<Filtered> filtered(from.size());
+  std::vector<Filtered> filtered(sources.size());
   auto filter_build_side = [&](size_t i) -> Status {
-    const FromBinding& fb = from[i];
+    const FromBinding& fb = sources[i];
     const storage::Table& t = *fb.table;
-    const std::vector<const Expr*>& preds = scan_preds[i];
-    APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(fb, preds, nullptr));
+    APUAMA_ASSIGN_OR_RETURN(ScanPlan plan,
+                            PlanScan(fb, scan_preds[i], nullptr));
     ScanMorsels sm = TouchAndMorselize(t, plan);
     stats_->morsels += sm.morsels.size();
     note_threads(sm.morsels.size());
     const Relation header = header_of(fb);
     Filtered& f = filtered[i];
+    if (i >= from.size()) f.chunk = chunk_for(t, sm);
+    const std::vector<PredStep> steps =
+        CompilePredSteps(scan_preds[i], header, f.chunk);
     f.survivors.resize(sm.morsels.size());
-    std::vector<uint64_t> cpu(sm.morsels.size(), 0);
+    std::vector<PassCounters> counters(sm.morsels.size());
     auto filter_morsel = [&](size_t mi) -> Status {
       ColumnResolver resolver(&header);
       EvalScope scope{&resolver, nullptr, nullptr};
       EvalContext ctx;
       ctx.scope = &scope;
       ctx.executor = nullptr;  // eligibility guaranteed no subqueries
-      ctx.cpu_ops = &cpu[mi];
+      ctx.cpu_ops = &counters[mi].cpu;
+      std::vector<uint32_t>& sel = f.survivors[mi];
+      sel.reserve(sm.morsels[mi].end - sm.morsels[mi].begin);
       for (size_t j = sm.morsels[mi].begin; j < sm.morsels[mi].end; ++j) {
-        const size_t pos = sm.by_position_list ? plan.index_positions[j] : j;
-        scope.row = &t.row(pos);
-        bool keep = true;
-        for (const Expr* p : preds) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
-          if (Truthiness(v) != 1) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) f.survivors[mi].push_back(static_cast<uint32_t>(pos));
+        sel.push_back(static_cast<uint32_t>(
+            sm.by_position_list ? plan.index_positions[j] : j));
       }
-      return Status::OK();
+      return FilterSelection(steps, f.chunk, t, &scope, ctx, &sel,
+                             &counters[mi].vec_rows,
+                             &counters[mi].dict_hits);
     };
     APUAMA_RETURN_NOT_OK(
         ParallelFor(pool, 0, sm.morsels.size(), filter_morsel));
     for (size_t mi = 0; mi < sm.morsels.size(); ++mi) {
       stats_->tuples_scanned += sm.morsels[mi].end - sm.morsels[mi].begin;
-      stats_->cpu_ops += cpu[mi];
-      stats_->cpu_ops_parallel += cpu[mi];
+      fold_pass(counters[mi]);
       f.kept += f.survivors[mi].size();
     }
     f.done = true;
@@ -3173,11 +3536,15 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   // A many-to-many stage early in the chain multiplies the probes of
   // every later stage — TPC-H Q5's c_nationkey = s_nationkey would
   // fan each lineitem row out to every customer of its nation — so
-  // unique and selective joins go first. Every input is a function of
-  // table contents and statement text, never of the thread count or
-  // the FROM order.
+  // unique and selective joins go first. Semi and anti stages join
+  // the chain in WHERE order, each as soon as the outer bindings it
+  // reads are covered when `subquery_stages_early`, else after the
+  // last inner stage. Every input is a function of table contents and
+  // statement text, never of the thread count or the FROM order.
+  enum class StageKind { kInner, kSemi, kAnti };
   struct BuildStage {
-    size_t from_idx = 0;
+    StageKind kind = StageKind::kInner;
+    size_t source = 0;                    // index into `sources`
     std::vector<const Expr*> probe_keys;  // over already-covered bindings
     std::vector<const Expr*> build_keys;  // over the stage's own binding
     std::vector<const Expr*> residuals;   // conjuncts first covered here
@@ -3188,7 +3555,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   std::vector<size_t> coverage_order(from.size(), 0);
   auto stage_for = [&](size_t i) {
     BuildStage st;
-    st.from_idx = i;
+    st.source = i;
     for (const auto& jp : join_preds) {
       if (covered.count(jp.lb) && jp.rb == from[i].binding) {
         st.probe_keys.push_back(jp.lhs);
@@ -3201,7 +3568,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     return st;
   };
   auto covers_clustered_key = [&](const BuildStage& st) {
-    const storage::Table& t = *from[st.from_idx].table;
+    const storage::Table& t = *from[st.source].table;
     const std::vector<int>& key = t.clustered_key();
     return !key.empty() &&
            std::all_of(key.begin(), key.end(), [&](int kc) {
@@ -3217,16 +3584,39 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     const bool unique_a = covers_clustered_key(a);
     const bool unique_b = covers_clustered_key(b);
     if (unique_a != unique_b) return unique_a;
-    const uint64_t raw_a = from[a.from_idx].table->num_rows();
-    const uint64_t raw_b = from[b.from_idx].table->num_rows();
+    const uint64_t raw_a = from[a.source].table->num_rows();
+    const uint64_t raw_b = from[b.source].table->num_rows();
     // kept_a / raw_a vs kept_b / raw_b, cross-multiplied to stay exact.
-    const uint64_t sel_a = filtered[a.from_idx].kept * raw_b;
-    const uint64_t sel_b = filtered[b.from_idx].kept * raw_a;
+    const uint64_t sel_a = filtered[a.source].kept * raw_b;
+    const uint64_t sel_b = filtered[b.source].kept * raw_a;
     if (sel_a != sel_b) return sel_a < sel_b;
     if (raw_a != raw_b) return raw_a < raw_b;
-    return from[a.from_idx].binding < from[b.from_idx].binding;
+    return from[a.source].binding < from[b.source].binding;
   };
-  while (stages.size() + 1 < from.size()) {
+  std::vector<bool> subquery_placed(subquery_stages.size(), false);
+  auto place_subquery_stages = [&]() -> Status {
+    for (size_t j = 0; j < subquery_stages.size(); ++j) {
+      const SubqueryStagePlan& sp = subquery_stages[j];
+      if (subquery_placed[j] ||
+          !std::includes(covered.begin(), covered.end(),
+                         sp.outer_bindings.begin(), sp.outer_bindings.end())) {
+        continue;
+      }
+      BuildStage st;
+      st.kind = sp.anti ? StageKind::kAnti : StageKind::kSemi;
+      st.source = from.size() + j;
+      st.probe_keys = sp.probe_keys;
+      st.build_keys = sp.build_keys;
+      st.residuals = sp.residuals;
+      APUAMA_RETURN_NOT_OK(filter_build_side(st.source));
+      stages.push_back(std::move(st));
+      subquery_placed[j] = true;
+    }
+    return Status::OK();
+  };
+  if (subquery_stages_early) APUAMA_RETURN_NOT_OK(place_subquery_stages());
+  for (size_t inner_stages = 0; inner_stages + 1 < from.size();
+       ++inner_stages) {
     // Candidates in binding-name order, so the filter passes touch
     // pages in an order independent of the FROM list.
     std::vector<BuildStage> candidates;
@@ -3240,25 +3630,31 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     }
     std::sort(candidates.begin(), candidates.end(),
               [&](const BuildStage& a, const BuildStage& b) {
-                return from[a.from_idx].binding < from[b.from_idx].binding;
+                return from[a.source].binding < from[b.source].binding;
               });
     for (const BuildStage& st : candidates) {
-      if (!filtered[st.from_idx].done) {
-        APUAMA_RETURN_NOT_OK(filter_build_side(st.from_idx));
+      if (!filtered[st.source].done) {
+        APUAMA_RETURN_NOT_OK(filter_build_side(st.source));
       }
     }
     BuildStage& best = *std::min_element(candidates.begin(),
                                          candidates.end(), ranks_before);
-    const size_t b = best.from_idx;
+    const size_t b = best.source;
     covered.insert(from[b].binding);
     coverage_order[b] = stages.size() + 1;
     stages.push_back(std::move(best));
+    if (subquery_stages_early) {
+      APUAMA_RETURN_NOT_OK(place_subquery_stages());
+    }
   }
+  APUAMA_RETURN_NOT_OK(place_subquery_stages());  // every outer is covered
   if (join_span.active()) {
     std::string chain;
     for (const BuildStage& st : stages) {
       if (!chain.empty()) chain += ',';
-      chain += from[st.from_idx].binding;
+      chain += sources[st.source].binding;
+      if (st.kind == StageKind::kSemi) chain += "(semi)";
+      if (st.kind == StageKind::kAnti) chain += "(anti)";
     }
     join_span.AddAttr("stages", static_cast<int64_t>(stages.size()));
     join_span.AddAttr("chain", chain);
@@ -3277,18 +3673,59 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   }
 
   // Output layouts after each probe stage: driver columns, then each
-  // build table's columns in chain order. Stage k's probe keys
-  // evaluate against layouts[k]; its residuals see layouts[k + 1].
+  // inner stage's table columns in chain order (a semi or anti stage
+  // adds none). Stage k's probe keys evaluate against layouts[k]; an
+  // inner stage's residuals see layouts[k + 1], a semi/anti stage's
+  // see the matching build row (stage_headers[k]) innermost and
+  // layouts[k] next.
   std::vector<Relation> layouts(stages.size() + 1);
-  auto append_cols = [](Relation* rel, const FromBinding& fb) {
-    for (const auto& col : fb.table->schema().columns()) {
-      rel->columns.push_back(ColumnBinding{fb.binding, col.name});
-    }
-  };
+  std::vector<Relation> stage_headers(stages.size());
   append_cols(&layouts[0], from[driver]);
   for (size_t k = 0; k < stages.size(); ++k) {
+    stage_headers[k] = header_of(sources[stages[k].source]);
     layouts[k + 1].columns = layouts[k].columns;
-    append_cols(&layouts[k + 1], from[stages[k].from_idx]);
+    if (stages[k].kind == StageKind::kInner) {
+      append_cols(&layouts[k + 1], sources[stages[k].source]);
+    }
+  }
+  // A semi/anti residual comparing two plain column refs (Q21's
+  // l2.l_suppkey <> l1.l_suppkey) resolves both once, in Eval's scope
+  // order — the build row, then the chain tuple — and compares the
+  // slots per match with Eval's semantics: NULL on either side never
+  // passes. Any other residual evaluates through Eval.
+  struct SlotCompare {
+    BinaryOp op = BinaryOp::kEq;
+    int slot[2] = {-1, -1};
+    bool in_build[2] = {false, false};
+  };
+  std::vector<std::vector<std::optional<SlotCompare>>> slot_compares(
+      stages.size());
+  for (size_t k = 0; k < stages.size(); ++k) {
+    if (stages[k].kind == StageKind::kInner) continue;
+    for (const Expr* res : stages[k].residuals) {
+      std::optional<SlotCompare> sc;
+      if (res->kind == ExprKind::kBinary && sql::IsComparison(res->binary_op)) {
+        sc.emplace();
+        sc->op = res->binary_op;
+        for (int i = 0; i < 2 && sc.has_value(); ++i) {
+          const Expr& c = *res->children[static_cast<size_t>(i)];
+          int slot = c.kind == ExprKind::kColumnRef
+                         ? stage_headers[k].FindSlot(c.table_qualifier,
+                                                     c.column_name)
+                         : -1;
+          sc->in_build[i] = slot >= 0;
+          if (slot < 0 && c.kind == ExprKind::kColumnRef) {
+            slot = layouts[k].FindSlot(c.table_qualifier, c.column_name);
+          }
+          if (slot < 0) {
+            sc.reset();
+          } else {
+            sc->slot[i] = slot;
+          }
+        }
+      }
+      slot_compares[k].push_back(sc);
+    }
   }
 
   // ---- Build scans, second half: parallel partitioned builds, one
@@ -3296,60 +3733,75 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   // morsel by morsel, then the hash partitions are assembled
   // concurrently — each in morsel-index order, so hash-table iteration
   // order, and therefore every downstream value, is identical at every
-  // thread count.
-  struct BuiltStage {
-    std::array<std::vector<Row>, kMergePartitions> rows;
-    std::array<std::unordered_multimap<Row, size_t, RowHash, RowEq>,
-               kMergePartitions>
-        ht;
-    std::array<KeyFilter, kMergePartitions> filters;
-  };
+  // thread count. An entry maps a key to the heap position of its
+  // build row: no row is copied, and the probe reads the row's
+  // columns in place.
+  using BuiltStage = std::array<BuildTable, kMergePartitions>;
   std::vector<BuiltStage> built(stages.size());
   for (size_t s = 0; s < stages.size(); ++s) {
-    const FromBinding& fb = from[stages[s].from_idx];
-    const storage::Table& t = *fb.table;
+    const BuildStage& st = stages[s];
+    const storage::Table& t = *sources[st.source].table;
     const std::vector<std::vector<uint32_t>>& survivors =
-        filtered[stages[s].from_idx].survivors;
-    const Relation bheader = header_of(fb);
+        filtered[st.source].survivors;
+    const size_t width = st.build_keys.size();
 
     // The key hash is computed once per build row and reused for the
     // partition choice, the semi-join filter bits, and the insert.
+    // Keyed rows wait per morsel and partition, flat like the table.
     struct Keyed {
-      size_t hash = 0;
-      Row key;
-      Row row;
+      std::vector<Value> keys;  // `width` per entry
+      std::vector<size_t> hashes;
+      std::vector<uint32_t> pos;
     };
     struct BuildChunk {
-      std::array<std::vector<Keyed>, kMergePartitions> keyed;
-      uint64_t cpu = 0;
+      std::array<Keyed, kMergePartitions> keyed;
+      PassCounters counters;
     };
     std::vector<BuildChunk> chunks(survivors.size());
-    const std::vector<const Expr*>& build_keys = stages[s].build_keys;
+    // A key that compiles against the chunk loads column-major per
+    // morsel and is boxed per row; any other evaluates row-wise.
+    const storage::ColumnarTable* chunk = filtered[st.source].chunk;
+    std::vector<std::unique_ptr<VecExpr>> key_vecs(width);
+    for (size_t i = 0; chunk != nullptr && i < width; ++i) {
+      key_vecs[i] = CompileVecExpr(*st.build_keys[i], stage_headers[s], *chunk);
+    }
     auto key_morsel = [&](size_t mi) -> Status {
       BuildChunk& ch = chunks[mi];
-      ColumnResolver resolver(&bheader);
+      const std::vector<uint32_t>& sel = survivors[mi];
+      if (sel.empty()) return Status::OK();
+      ColumnResolver resolver(&stage_headers[s]);
       EvalScope scope{&resolver, nullptr, nullptr};
       EvalContext ctx;
       ctx.scope = &scope;
       ctx.executor = nullptr;  // eligibility guaranteed no subqueries
-      ctx.cpu_ops = &ch.cpu;
-      for (const uint32_t pos : survivors[mi]) {
-        const Row& r = t.row(pos);
-        scope.row = &r;
-        Row key;
-        key.reserve(build_keys.size());
-        bool null_key = false;
-        for (const Expr* k : build_keys) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*k, ctx));
-          if (v.is_null()) null_key = true;
-          key.push_back(std::move(v));
+      ctx.cpu_ops = &ch.counters.cpu;
+      std::vector<VecData> lanes(width);
+      for (size_t i = 0; i < width; ++i) {
+        if (key_vecs[i] != nullptr) {
+          APUAMA_RETURN_NOT_OK(EvalVec(*key_vecs[i], *chunk, sel, &lanes[i],
+                                       &ch.counters.cpu,
+                                       &ch.counters.vec_rows));
         }
-        if (null_key) continue;  // inner join: null keys never match
-        Keyed kd;
-        kd.hash = RowHash{}(key);
-        kd.key = std::move(key);
-        kd.row = r;
-        ch.keyed[kd.hash % kMergePartitions].push_back(std::move(kd));
+      }
+      Row key(width);
+      for (size_t r = 0; r < sel.size(); ++r) {
+        const uint32_t pos = sel[r];
+        scope.row = &t.row(pos);
+        bool null_key = false;
+        for (size_t i = 0; i < width; ++i) {
+          if (key_vecs[i] != nullptr) {
+            key[i] = lanes[i].ValueAt(r);
+          } else {
+            APUAMA_ASSIGN_OR_RETURN(key[i], Eval(*st.build_keys[i], ctx));
+          }
+          null_key = null_key || key[i].is_null();
+        }
+        if (null_key) continue;  // null keys never match
+        const size_t h = RowHash{}(key);
+        Keyed& kd = ch.keyed[h % kMergePartitions];
+        for (Value& v : key) kd.keys.push_back(std::move(v));
+        kd.hashes.push_back(h);
+        kd.pos.push_back(pos);
       }
       return Status::OK();
     };
@@ -3359,15 +3811,15 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     std::array<uint64_t, kMergePartitions> part_cpu{};
     auto build_partition = [&](size_t p) -> Status {
       size_t n = 0;
-      for (const BuildChunk& ch : chunks) n += ch.keyed[p].size();
-      bs.rows[p].reserve(n);
-      bs.ht[p].reserve(n);
+      for (const BuildChunk& ch : chunks) n += ch.keyed[p].pos.size();
+      BuildTable& table = bs[p];
+      table.Reset(width, n);
       for (BuildChunk& ch : chunks) {
-        for (Keyed& kd : ch.keyed[p]) {
+        Keyed& kd = ch.keyed[p];
+        for (size_t e = 0; e < kd.pos.size(); ++e) {
           ++part_cpu[p];
-          bs.filters[p].Add(kd.hash);
-          bs.rows[p].push_back(std::move(kd.row));
-          bs.ht[p].emplace(std::move(kd.key), bs.rows[p].size() - 1);
+          Value* key = &kd.keys[e * width];
+          table.Insert(kd.hashes[e], key, kd.pos[e]);
         }
       }
       return Status::OK();
@@ -3375,14 +3827,11 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     APUAMA_RETURN_NOT_OK(
         ParallelFor(pool, 0, kMergePartitions, build_partition));
 
-    for (const BuildChunk& ch : chunks) {
-      stats_->cpu_ops += ch.cpu;
-      stats_->cpu_ops_parallel += ch.cpu;
-    }
+    for (const BuildChunk& ch : chunks) fold_pass(ch.counters);
     for (size_t p = 0; p < kMergePartitions; ++p) {
       stats_->cpu_ops += part_cpu[p];
       stats_->cpu_ops_parallel += part_cpu[p];
-      stats_->join_build_rows += bs.rows[p].size();
+      stats_->join_build_rows += bs[p].size();
     }
   }
   build_span.End();
@@ -3414,22 +3863,9 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     const storage::ColumnVector* dict_col = nullptr;
     std::vector<size_t> code_hash;
   };
-  const storage::ColumnarTable* dchunk = nullptr;
-  if (!dsm.by_position_list) {
-    storage::ColumnStore::GetResult cg = db_->column_store()->Get(dt);
-    dchunk = cg.chunk;
-    if (cg.built) ++stats_->columnar_chunks_built;
-    if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
-  }
-  std::vector<ColumnarPlan::PredStep> dsteps;
-  for (const Expr* p : dpreds) {
-    ColumnarPlan::PredStep step;
-    if (dchunk != nullptr) {
-      step.vec = CompileVecPredicate(*p, layouts[0], *dchunk);
-    }
-    if (step.vec == nullptr) step.row = p;
-    dsteps.push_back(std::move(step));
-  }
+  const storage::ColumnarTable* dchunk = chunk_for(dt, dsm);
+  const std::vector<PredStep> dsteps =
+      CompilePredSteps(dpreds, layouts[0], dchunk);
   std::vector<KeyLane> key_lanes;
   bool keys_vec = dchunk != nullptr && !stages.empty();
   for (size_t i = 0; keys_vec && i < stages[0].probe_keys.size(); ++i) {
@@ -3470,6 +3906,23 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       ctxs[k].executor = nullptr;  // eligibility guaranteed no subqueries
       ctxs[k].cpu_ops = &part.cpu;
     }
+    auto enter_driver_row = [&](uint32_t pos) {
+      const Row& r = dt.row(pos);
+      scratch.assign(r.begin(), r.end());
+    };
+    // Semi/anti residual scopes: the matching build row innermost, the
+    // chain's tuple (layouts[k]) next.
+    std::vector<ColumnResolver> build_resolvers;
+    build_resolvers.reserve(stages.size());
+    for (const Relation& h : stage_headers) build_resolvers.emplace_back(&h);
+    std::vector<EvalScope> build_scopes(stages.size());
+    std::vector<EvalContext> build_ctxs(stages.size());
+    for (size_t k = 0; k < stages.size(); ++k) {
+      build_scopes[k].resolver = &build_resolvers[k];
+      build_scopes[k].outer = &scopes[k];
+      build_ctxs[k].scope = &build_scopes[k];
+      build_ctxs[k].cpu_ops = &part.cpu;
+    }
 
     // The chain is split in two so the driver can enter it past the
     // per-row key/hash/filter work it already did in slices:
@@ -3478,17 +3931,52 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     // walks the hash chain, applies residuals and recurses. Later
     // stages, and stage 0 when its keys do not compile, go through
     // descend; both meet at probe_chain, so match processing is one
-    // code path.
+    // code path. A probe row that cannot match (NULL key, filter miss)
+    // ends at `no_match(k)`: dropped by an inner or semi stage, passed
+    // on by an anti stage.
     std::function<Status(size_t)> descend;
+    auto no_match = [&](size_t k) -> Status {
+      return stages[k].kind == StageKind::kAnti ? descend(k + 1)
+                                                : Status::OK();
+    };
     auto probe_chain = [&](size_t k, const Row& key, size_t h) -> Status {
       const BuildStage& st = stages[k];
-      const BuiltStage& bs = built[k];
-      const size_t p = h % kMergePartitions;
+      const BuildTable& table = built[k][h % kMergePartitions];
+      const storage::Table& bt = *sources[st.source].table;
+      const Value* kv = key.data();
+      if (st.kind != StageKind::kInner) {
+        // Does any match pass every residual?
+        bool found = false;
+        for (uint32_t e = table.Find(h, kv); e != BuildTable::kEnd && !found;
+             e = table.Next(e, h, kv)) {
+          ++part.cpu;
+          const Row& brow = bt.row(table.pos(e));
+          build_scopes[k].row = &brow;
+          found = true;
+          for (size_t r = 0; r < st.residuals.size() && found; ++r) {
+            if (const auto& sc = slot_compares[k][r]; sc.has_value()) {
+              part.cpu += 3;  // Eval's charge: the comparison + two refs
+              const Value& a = (sc->in_build[0] ? brow : *scopes[k].row)
+                  [static_cast<size_t>(sc->slot[0])];
+              const Value& b = (sc->in_build[1] ? brow : *scopes[k].row)
+                  [static_cast<size_t>(sc->slot[1])];
+              found = !a.is_null() && !b.is_null() &&
+                      ComparisonHolds(sc->op, a.Compare(b));
+              continue;
+            }
+            APUAMA_ASSIGN_OR_RETURN(Value v,
+                                    Eval(*st.residuals[r], build_ctxs[k]));
+            found = Truthiness(v) == 1;
+          }
+        }
+        return found == (st.kind == StageKind::kSemi) ? descend(k + 1)
+                                                      : Status::OK();
+      }
       const size_t base = scratch.size();
-      auto [lo, hi] = bs.ht[p].equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
+      for (uint32_t e = table.Find(h, kv); e != BuildTable::kEnd;
+           e = table.Next(e, h, kv)) {
         ++part.cpu;
-        const Row& brow = bs.rows[p][it->second];
+        const Row& brow = bt.row(table.pos(e));
         scratch.insert(scratch.end(), brow.begin(), brow.end());
         bool pass = true;
         for (const Expr* res : st.residuals) {
@@ -3506,10 +3994,10 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     };
     descend = [&](size_t k) -> Status {
       if (k == stages.size()) {
-        return AccumulateRow(stmt, agg_nodes, ctxs[k], scratch, &part);
+        return AccumulateRow(stmt, agg_nodes, agg_funcs, ctxs[k],
+                             *scopes[k].row, &part);
       }
       const BuildStage& st = stages[k];
-      const BuiltStage& bs = built[k];
       Row key;
       key.reserve(st.probe_keys.size());
       bool null_key = false;
@@ -3518,12 +4006,11 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
         if (v.is_null()) null_key = true;
         key.push_back(std::move(v));
       }
-      if (null_key) return Status::OK();  // inner join semantics
+      if (null_key) return no_match(k);
       const size_t h = RowHash{}(key);
-      const size_t p = h % kMergePartitions;
-      if (!bs.filters[p].MayContain(h)) {
+      if (!built[k][h % kMergePartitions].MayContain(h)) {
         ++part.filter_skipped;
-        return Status::OK();
+        return no_match(k);
       }
       ++part.probed;
       return probe_chain(k, key, h);
@@ -3545,30 +4032,16 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
           dsm.by_position_list ? dplan.index_positions[j] : j));
     }
     part.scanned += sel.size();
-    for (const ColumnarPlan::PredStep& step : dsteps) {
-      if (sel.empty()) break;
-      if (step.vec != nullptr) {
-        APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *dchunk, &sel, &part.cpu,
-                                       &part.vec_rows, &part.dict_hits));
-        continue;
-      }
-      // Row-wise fallback for this conjunct only: evaluate against
-      // the heap row in place (layout 0 is the driver's schema).
-      std::vector<uint32_t> out;
-      out.reserve(sel.size());
-      for (const uint32_t pos : sel) {
-        scopes[0].row = &dt.row(pos);
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctxs[0]));
-        if (Truthiness(v) == 1) out.push_back(pos);
-      }
-      sel.swap(out);
-    }
+    // Row-wise conjuncts evaluate the heap row in place (layout 0 is
+    // the driver's schema).
+    APUAMA_RETURN_NOT_OK(FilterSelection(dsteps, dchunk, dt, &scopes[0],
+                                         ctxs[0], &sel, &part.vec_rows,
+                                         &part.dict_hits));
     scopes[0].row = &scratch;  // probe chain reads the scratch row
     if (sel.empty()) return Status::OK();
     if (!keys_vec) {
       for (const uint32_t pos : sel) {
-        const Row& r = dt.row(pos);
-        scratch.assign(r.begin(), r.end());
+        enter_driver_row(pos);
         APUAMA_RETURN_NOT_OK(descend(0));
       }
       return Status::OK();
@@ -3588,7 +4061,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     // integral twin when it has one, a dictionary code looks up the
     // precomputed string hash), so partition choice and filter
     // membership are bit-identical to the row path. A NULL in any
-    // key lane can never match an inner join: mark and skip.
+    // key lane can never match: mark it for no_match.
     std::vector<size_t> hashes(n, size_t{0x9e3779b9});
     std::vector<uint8_t> null_key(n, 0);
     for (size_t i = 0; i < key_lanes.size(); ++i) {
@@ -3630,18 +4103,25 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     // decide which rows materialize at all.
     part.cpu += VecOps(n);
     part.probe_vec += n;
-    const BuiltStage& bs0 = built[0];
+    const BuiltStage& stage0 = built[0];
+    const bool keep_misses = stages[0].kind == StageKind::kAnti;
     for (size_t k = 0; k < n; ++k) {
-      if (null_key[k]) continue;  // inner join semantics
+      const uint32_t pos = sel[k];
       const size_t h = hashes[k];
-      if (!bs0.filters[h % kMergePartitions].MayContain(h)) {
+      bool may_match = !null_key[k];
+      if (may_match && !stage0[h % kMergePartitions].MayContain(h)) {
         ++part.filter_skipped;
+        may_match = false;
+      }
+      if (!may_match) {
+        if (keep_misses) {
+          enter_driver_row(pos);
+          APUAMA_RETURN_NOT_OK(no_match(0));
+        }
         continue;
       }
       ++part.probed;
-      const uint32_t pos = sel[k];
-      const Row& r = dt.row(pos);
-      scratch.assign(r.begin(), r.end());
+      enter_driver_row(pos);
       // Box the key back into the row path's value model only for
       // rows that actually reach a hash chain.
       Row key;

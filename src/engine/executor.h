@@ -150,10 +150,12 @@ class Executor {
   /// width.
   Result<QueryResult> ExecuteMorselAggregate(const sql::SelectStmt& stmt);
 
-  /// Cheap gate for the morsel-parallel join pipeline: a multi-table
-  /// aggregate with no SELECT *, no subqueries, not correlated, and
-  /// not a reference executor. Deeper shape conditions
-  /// (equality-connected join graph, no outer references) are checked
+  /// Cheap gate for the morsel-parallel join pipeline: an aggregate
+  /// over two or more tables, or over one table with an EXISTS / IN
+  /// (subquery) WHERE conjunct; no SELECT *, no subquery anywhere but
+  /// as such a top-level conjunct, not correlated, and not a reference
+  /// executor. Deeper shape conditions (equality-connected join graph,
+  /// no outer references, decorrelatable subqueries) are checked
   /// during planning inside ExecuteMorselJoin.
   bool MorselJoinEligible(const sql::SelectStmt& stmt,
                           const EvalScope* outer) const;
@@ -165,15 +167,21 @@ class Executor {
   /// concurrently), then the driver table streams page-aligned
   /// morsels through the full probe chain (semi-join filter -> probe
   /// -> residual filter -> ... -> partial aggregate) without
-  /// materializing intermediate relations.
+  /// materializing intermediate relations. Each EXISTS / NOT EXISTS /
+  /// IN (subquery) conjunct is decorrelated into a semi or anti stage
+  /// of the same chain (ApplySubqueryPredicate's rules); it filters the
+  /// chain tuple and adds no columns. It is placed as soon as the outer
+  /// bindings it reads are covered when no stage's key or residual can
+  /// fail, else after the last inner stage, as the legacy chain does.
   /// The driver filters a selection vector and hashes the stage-0 keys
   /// in slices; conjuncts and keys that do not compile (all of them on
   /// an index-order driver scan) run row-wise in the same loop.
   /// Partials fold in morsel-index order, so results are bit-identical
   /// at every `exec_threads` setting. Returns nullopt when planning
   /// finds a shape the pipeline cannot run (cross join, outer
-  /// references, subquery predicates) — the caller then falls back to
-  /// the legacy sequential chain. Planning is side-effect free until
+  /// references, an aggregating, multi-table or nested subquery,
+  /// NOT IN, a subquery without a correlated equality) — the caller
+  /// then falls back to the legacy sequential chain. Planning is side-effect free until
   /// the plan is committed, so the fallback leaves no stats residue.
   Result<std::optional<QueryResult>> ExecuteMorselJoin(
       const sql::SelectStmt& stmt);

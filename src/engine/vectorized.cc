@@ -39,23 +39,6 @@ int CompareLane(const VecData& a, const VecData& b, size_t k) {
   return x < y ? -1 : x > y ? 1 : 0;
 }
 
-bool ComparePasses(BinaryOp op, int c) {
-  switch (op) {
-    case BinaryOp::kEq:
-      return c == 0;
-    case BinaryOp::kNotEq:
-      return c != 0;
-    case BinaryOp::kLt:
-      return c < 0;
-    case BinaryOp::kLtEq:
-      return c <= 0;
-    case BinaryOp::kGt:
-      return c > 0;
-    default:  // kGtEq
-      return c >= 0;
-  }
-}
-
 // Resolves `e` to a dictionary-encoded string column of the chunk.
 const storage::ColumnVector* DictColumn(const Expr& e,
                                         const Relation& header,
@@ -532,7 +515,7 @@ Status FilterVec(const VecPredicate& p, const storage::ColumnarTable& chunk,
     *vec_rows += n;
     for (size_t k = 0; k < n; ++k) {
       if (va.IsNull(k) || vb.IsNull(k)) continue;
-      if (ComparePasses(p.op, CompareLane(va, vb, k))) {
+      if (ComparisonHolds(p.op, CompareLane(va, vb, k))) {
         keep.push_back((*sel)[k]);
       }
     }

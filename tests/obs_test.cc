@@ -304,6 +304,27 @@ TEST(TraceTest, MorselJoinSpanNamesItsBuildChain) {
       << tree;
 }
 
+// Semi and anti stages are marked in the chain: Q21's EXISTS and NOT
+// EXISTS over lineitem read only the driver l1, so they run first,
+// ahead of the inner stages.
+TEST(TraceTest, MorselJoinChainMarksSemiAndAntiStages) {
+  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.002});
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(data.LoadInto(&db).ok());
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  auto r = db.Execute(*tpch::QuerySql(21));
+  const std::string tree = tracer.DumpTree();
+  tracer.SetEnabled(false);
+  tracer.Clear();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(tree.find(" stages=5 chain=l2(semi),l3(anti),orders,supplier,"
+                      "nation\n"),
+            std::string::npos)
+      << tree;
+}
+
 // ---------------------------------------------------------------------
 // EXPLAIN ANALYZE: fixed-shape per-level breakdown.
 
